@@ -134,7 +134,7 @@ void RealConvergencePart(const std::string& json_path) {
                   util::FormatDouble(report->final_train_loss, 4),
                   util::FormatDouble(report->validation_loss, 4),
                   std::to_string(report->telemetry.updater.updates_applied),
-                  std::to_string(report->telemetry.max_pending_batches)});
+                  std::to_string(report->telemetry.updater.staleness.Max())});
     json << (lock_free ? ",\n" : "") << "    {\"mode\": \""
          << (lock_free ? "lock_free" : "synchronous")
          << "\", \"steps_per_second\": " << report->steps_per_second

@@ -3,8 +3,8 @@
 # fault-injection configurations:
 #
 #   * ThreadSanitizer over the concurrency-sensitive tests (parallel
-#     kernels, ParallelFor, thread pool, lock-free updater, and the obs::
-#     metrics registry / span tracer hot paths).
+#     kernels, ParallelFor, thread pool, lock-free updater, the obs::
+#     metrics registry / span tracer hot paths, and batched SSD moves).
 #   * AddressSanitizer+UBSan over the memory-hierarchy and updater tests,
 #     which exercise raw pread/pwrite buffers and page frame arithmetic.
 #   * A fault-injection pass: the suites re-run with ANGELPTM_FAULT_SITES
@@ -28,7 +28,8 @@
 #     smoke mode, then the mem and engine suites re-run with
 #     ANGELPTM_SSD_IO_WORKERS forcing the async submission-queue backend,
 #     including the fault-injection suite with a transient fault armed —
-#     proving the retry policy still fires per attempt behind the queue.
+#     proving the retry policy still fires per attempt behind the queue —
+#     and the batched-move tests under both ANGELPTM_SSD_IO_WORKERS=0 and 4.
 #
 #   * An optimizer pass (DESIGN.md §13): the golden suite for every
 #     registered update rule (Adam bitwise vs the SIMD kernel, SGDM/LAMB/
@@ -56,6 +57,9 @@ set -e
 cd "$(dirname "$0")/.."
 
 MODE="${1:-all}"
+
+# The batched SSD move tests (DESIGN.md §12.5), shared by --ssd and --tsan.
+BATCHED_MOVE_TESTS='*BatchedMove*:HierarchicalMemoryTest.*'
 
 if [ "$MODE" = all ] || [ "$MODE" = --tier1-only ]; then
   echo "=== tier-1: build + full test suite ==="
@@ -138,6 +142,12 @@ if [ "$MODE" = all ] || [ "$MODE" = --ssd ]; then
   # even when the attempt runs on a queue worker inside a coalesced batch.
   ANGELPTM_SSD_IO_WORKERS=4 ANGELPTM_FAULT_SITES="ssd.pwrite=nth:1" \
     ./build/tests/mem_test --gtest_filter='MemFaultInjectionTest.*'
+  # Batched tier crossings (DESIGN.md §12.5) and their mid-batch fault
+  # tests on both backends: one syscall per page, and the queue.
+  for WORKERS in 0 4; do
+    ANGELPTM_SSD_IO_WORKERS=$WORKERS ./build/tests/mem_test \
+      --gtest_filter="$BATCHED_MOVE_TESTS"
+  done
   # The engine paths (trace -> planner -> Belady eviction) on the async
   # backend, including the failed-prefetch accounting regression test.
   ANGELPTM_SSD_IO_WORKERS=4 ./build/tests/runtime_test \
@@ -231,7 +241,7 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j --target util_test obs_test train_test \
-    runtime_test
+    runtime_test mem_test
   # Deterministically exercise the parallel code paths even on small CI
   # hosts: the kernels split work as if 4 workers were present.
   ANGELPTM_COMPUTE_THREADS=4 \
@@ -247,6 +257,12 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/runtime_test \
       --gtest_filter='CheckpointTest.*:CheckpointManagerTest.*'
+  # Batched SSD moves settle futures resolved on queue workers: every
+  # arena frame a worker wrote must be published to the committing thread.
+  for WORKERS in 0 4; do
+    ANGELPTM_SSD_IO_WORKERS=$WORKERS TSAN_OPTIONS="halt_on_error=1" \
+      ./build-tsan/tests/mem_test --gtest_filter="$BATCHED_MOVE_TESTS"
+  done
 fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --asan-only ]; then

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_set>
 
 #include "util/logging.h"
 
@@ -144,15 +145,21 @@ util::Status Allocator::Release(Tensor* tensor) {
   return util::Status::OK();
 }
 
-util::Status Allocator::Move(Tensor* tensor, mem::DeviceKind target) {
-  if (tensor == nullptr) return util::Status::InvalidArgument("null tensor");
+util::Status Allocator::Move(std::span<Tensor* const> tensors,
+                             mem::DeviceKind target) {
   util::MutexLock lock(mutex_);
-  for (mem::Page* page : tensor->pages()) {
-    // A moved page can no longer serve as an open tail on its old tier.
-    ForgetOpenPage(page);
-    ANGEL_RETURN_IF_ERROR(memory_->MovePageSync(page, target));
+  std::vector<mem::Page*> pages;
+  std::unordered_set<const mem::Page*> seen;
+  for (const Tensor* tensor : tensors) {
+    if (tensor == nullptr) return util::Status::InvalidArgument("null tensor");
+    for (mem::Page* page : tensor->pages()) {
+      // Grouped tensors share tail pages; move each page once.
+      if (seen.insert(page).second) pages.push_back(page);
+    }
   }
-  return util::Status::OK();
+  // A moved page can no longer serve as an open tail on its old tier.
+  for (const mem::Page* page : pages) ForgetOpenPage(page);
+  return memory_->MovePages(pages, target);
 }
 
 util::Status Allocator::Merge(Tensor* tensor) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -49,11 +50,18 @@ class Allocator {
   /// frames to their tier.
   [[nodiscard]] util::Status Release(Tensor* tensor) ANGEL_EXCLUDES(mutex_);
 
-  /// Moves every page of the tensor to `target`, synchronously. A shared
-  /// tail page carries its partner tensor's bytes along (by design — grouped
-  /// tensors co-migrate).
-  [[nodiscard]] util::Status Move(Tensor* tensor, mem::DeviceKind target)
+  /// Moves every page of the tensors to `target` in one
+  /// HierarchicalMemory::MovePages call, synchronously; a tail page that
+  /// grouped tensors share is moved once. A shared tail page carries its
+  /// partner tensor's bytes along (by design — grouped tensors co-migrate).
+  /// SSD crossings therefore travel as one coalesced batch.
+  [[nodiscard]] util::Status Move(std::span<Tensor* const> tensors,
+                                  mem::DeviceKind target)
       ANGEL_EXCLUDES(mutex_);
+  [[nodiscard]] util::Status Move(Tensor* tensor, mem::DeviceKind target)
+      ANGEL_EXCLUDES(mutex_) {
+    return Move({&tensor, 1}, target);
+  }
 
   /// Ensures the tensor's bytes form one contiguous range, re-packing onto
   /// physically adjacent frames if necessary (Fig. 4 `merge`). Requires the

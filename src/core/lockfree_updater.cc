@@ -107,19 +107,20 @@ util::Result<int> LockFreeUpdater::AddLayer(
     PublishParams(*layer, initial_params);
   }
 
-  if (options_.master_device != mem::DeviceKind::kCpu) {
-    ANGEL_RETURN_IF_ERROR(
-        allocator_->Move(layer->p32, options_.master_device));
-    for (Tensor* tensor : layer->slots) {
-      ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, options_.master_device));
-    }
-  }
+  ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, options_.master_device));
   {
     util::MutexLock lock(backpressure_mutex_);
     inflight_batches_.push_back(0);
   }
   layers_.push_back(std::move(layer));
   return static_cast<int>(layers_.size()) - 1;
+}
+
+util::Status LockFreeUpdater::MoveMasters(Layer& layer,
+                                          mem::DeviceKind device) {
+  std::vector<Tensor*> masters = {layer.p32};
+  masters.insert(masters.end(), layer.slots.begin(), layer.slots.end());
+  return allocator_->Move(masters, device);
 }
 
 void LockFreeUpdater::PublishParams(Layer& layer,
@@ -287,11 +288,7 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
   {
     util::MutexLock master_lock(layer->master_mutex);
     if (on_ssd) {
-      ANGEL_RETURN_IF_ERROR(
-          allocator_->Move(layer->p32, mem::DeviceKind::kCpu));
-      for (Tensor* tensor : layer->slots) {
-        ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kCpu));
-      }
+      ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, mem::DeviceKind::kCpu));
     }
     std::vector<float> p;
     ANGEL_RETURN_IF_ERROR(layer->p32->ReadFloats(&p));
@@ -325,11 +322,7 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
     }
 
     if (on_ssd) {
-      ANGEL_RETURN_IF_ERROR(
-          allocator_->Move(layer->p32, mem::DeviceKind::kSsd));
-      for (Tensor* tensor : layer->slots) {
-        ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kSsd));
-      }
+      ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, mem::DeviceKind::kSsd));
     }
   }
   updates_applied_.fetch_add(1);
@@ -559,12 +552,7 @@ util::Status LockFreeUpdater::SnapshotLayerState(int layer_index,
   util::MutexLock master_lock(layer.master_mutex);
   const bool on_ssd = layer.p32->device_index() ==
                       static_cast<int>(mem::DeviceKind::kSsd);
-  if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kCpu));
-    for (Tensor* tensor : layer.slots) {
-      ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kCpu));
-    }
-  }
+  if (on_ssd) ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kCpu));
   ANGEL_RETURN_IF_ERROR(layer.p32->ReadFloats(&out->params));
   out->slots.clear();
   out->slots.resize(layer.slots.size());
@@ -574,12 +562,7 @@ util::Status LockFreeUpdater::SnapshotLayerState(int layer_index,
         layer.slots[s]->ReadFloats(&out->slots[s].values));
   }
   out->step = layer.step;
-  if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kSsd));
-    for (Tensor* tensor : layer.slots) {
-      ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kSsd));
-    }
-  }
+  if (on_ssd) ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kSsd));
   return util::Status::OK();
 }
 
@@ -616,23 +599,13 @@ util::Status LockFreeUpdater::ImportLayerState(int layer_index,
   util::MutexLock master_lock(layer.master_mutex);
   const bool on_ssd = layer.p32->device_index() ==
                       static_cast<int>(mem::DeviceKind::kSsd);
-  if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kCpu));
-    for (Tensor* tensor : layer.slots) {
-      ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kCpu));
-    }
-  }
+  if (on_ssd) ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kCpu));
   ANGEL_RETURN_IF_ERROR(layer.p32->WriteFloats(state.params));
   for (size_t s = 0; s < layer.slots.size(); ++s) {
     ANGEL_RETURN_IF_ERROR(layer.slots[s]->WriteFloats(state.slots[s].values));
   }
   layer.step = state.step;
-  if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kSsd));
-    for (Tensor* tensor : layer.slots) {
-      ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kSsd));
-    }
-  }
+  if (on_ssd) ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kSsd));
   // Refresh the compute-side fp16 view and drop stale gradients.
   util::MutexLock lock(layer.buffer_mutex);
   ANGEL_RETURN_IF_ERROR(layer.buffered_params->WriteFloats(state.params));

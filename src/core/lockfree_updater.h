@@ -254,6 +254,10 @@ class LockFreeUpdater {
   /// gradients. Returns true if an update was applied.
   [[nodiscard]] util::Result<bool> UpdateLayer(int layer_index)
       ANGEL_EXCLUDES(queue_mutex_, staleness_mutex_, backpressure_mutex_);
+  /// Moves a layer's fp32 master params and every optimizer slot to
+  /// `device` as one Allocator::Move, so an SSD crossing is one coalesced
+  /// batch. Callers hold layer.master_mutex once the layer is published.
+  [[nodiscard]] util::Status MoveMasters(Layer& layer, mem::DeviceKind device);
   void UpdatingThreadLoop() ANGEL_EXCLUDES(work_mutex_);
   void BufferingThreadLoop() ANGEL_EXCLUDES(queue_mutex_, work_mutex_);
   /// Records the first unrecoverable error; later calls keep the original.

@@ -1,6 +1,8 @@
 #include "mem/hierarchical_memory.h"
 
+#include <algorithm>
 #include <cstring>
+#include <future>
 
 #include "obs/trace.h"
 #include "util/fault_injector.h"
@@ -101,62 +103,143 @@ util::Status HierarchicalMemory::DestroyPage(Page* page, bool force) {
 }
 
 util::Status HierarchicalMemory::MovePageSync(Page* page, DeviceKind target) {
-  if (page == nullptr) {
+  return MovePages({&page, 1}, target);
+}
+
+util::Status HierarchicalMemory::MovePages(std::span<Page* const> pages,
+                                           DeviceKind target) {
+  // Validate the whole list before anything moves: a duplicate would be
+  // staged twice and its source frame released twice.
+  std::vector<Page*> sorted(pages.begin(), pages.end());
+  std::sort(sorted.begin(), sorted.end());
+  if (!sorted.empty() && sorted.front() == nullptr) {
     return util::Status::InvalidArgument("null page");
   }
-  ANGEL_FAULT_CHECK("hmem.move_page");
-  const DeviceKind source = page->device();
-  if (source == target) return util::Status::OK();
-  ANGEL_SPAN("mem", "move_page");
-  const size_t bytes = page->total_bytes();
-
-  if (target == DeviceKind::kSsd || source == DeviceKind::kSsd) {
-    if (!ssd_enabled_) {
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return util::Status::InvalidArgument("page listed twice in one move");
+  }
+  std::vector<Page*> ssd_batch;
+  for (Page* page : pages) {
+    ANGEL_FAULT_CHECK("hmem.move_page");
+    const DeviceKind source = page->device();
+    if (source == target) continue;
+    if (source != DeviceKind::kSsd && target != DeviceKind::kSsd) {
+      ANGEL_RETURN_IF_ERROR(MoveMemoryPage(page, target));
+    } else if (!ssd_enabled_) {
       return util::Status::FailedPrecondition("SSD tier not configured");
+    } else {
+      ssd_batch.push_back(page);
     }
   }
+  if (ssd_batch.empty()) return util::Status::OK();
+  return MoveSsdBatch(std::move(ssd_batch), target);
+}
 
-  if (target == DeviceKind::kSsd) {
-    // Memory -> SSD: stage out through a real file write.
-    ANGEL_ASSIGN_OR_RETURN(uint64_t offset, ssd_.AcquireFrame());
-    const util::Status write = ssd_.WriteFrame(offset, page->data_ptr(), bytes);
-    if (!write.ok()) {
-      ssd_.ReleaseFrame(offset);
-      return write;
-    }
-    MutableArena(source).ReleaseFrame(page->data_ptr());
-    page->SetSsdResidence(offset);
-  } else if (source == DeviceKind::kSsd) {
-    // SSD -> memory.
-    ANGEL_ASSIGN_OR_RETURN(std::byte* frame,
-                           MutableArena(target).AcquireFrame());
-    const util::Status read =
-        ssd_.ReadFrame(page->ssd_offset(), frame, bytes);
-    if (!read.ok()) {
-      MutableArena(target).ReleaseFrame(frame);
-      return read;
-    }
-    ssd_.ReleaseFrame(page->ssd_offset());
-    page->SetResidence(target, frame);
-  } else {
-    // GPU <-> CPU over the (emulated) PCIe link.
-    ANGEL_ASSIGN_OR_RETURN(std::byte* frame,
-                           MutableArena(target).AcquireFrame());
-    std::memcpy(frame, page->data_ptr(), bytes);
-    pcie_throttle_.Consume(bytes);
-    MutableArena(source).ReleaseFrame(page->data_ptr());
-    page->SetResidence(target, frame);
+util::Status HierarchicalMemory::MoveMemoryPage(Page* page,
+                                                DeviceKind target) {
+  ANGEL_SPAN("mem", "move_page");
+  const DeviceKind source = page->device();
+  const size_t bytes = page->total_bytes();
+  ANGEL_ASSIGN_OR_RETURN(std::byte* frame,
+                         MutableArena(target).AcquireFrame());
+  std::memcpy(frame, page->data_ptr(), bytes);
+  pcie_throttle_.Consume(bytes);
+  MutableArena(source).ReleaseFrame(page->data_ptr());
+  page->SetResidence(target, frame);
+  RecordMove(source, target, bytes);
+  return util::Status::OK();
+}
+
+util::Status HierarchicalMemory::MoveSsdBatch(std::vector<Page*> batch,
+                                              DeviceKind target) {
+  ANGEL_SPAN("mem", "move_ssd_batch");
+  const bool to_ssd = target == DeviceKind::kSsd;
+  if (!to_ssd) {
+    // Read in ascending file order so the queue chains adjacent frames.
+    std::sort(batch.begin(), batch.end(), [](const Page* a, const Page* b) {
+      return a->ssd_offset() < b->ssd_offset();
+    });
   }
+  // Every target frame is acquired before any I/O, so a full tier fails
+  // the batch with every page untouched. offsets[i] and frames[i] are the
+  // SSD and memory ends of page i's transfer.
+  std::vector<uint64_t> offsets;
+  std::vector<std::byte*> frames;
+  offsets.reserve(batch.size());
+  frames.reserve(batch.size());
+  for (Page* page : batch) {
+    if (to_ssd) {
+      util::Result<uint64_t> offset = ssd_.AcquireFrame();
+      if (!offset.ok()) {
+        for (const uint64_t acquired : offsets) ssd_.ReleaseFrame(acquired);
+        return offset.status();
+      }
+      offsets.push_back(*offset);
+      frames.push_back(page->data_ptr());
+    } else {
+      util::Result<std::byte*> frame = MutableArena(target).AcquireFrame();
+      if (!frame.ok()) {
+        for (std::byte* acquired : frames) {
+          MutableArena(target).ReleaseFrame(acquired);
+        }
+        return frame.status();
+      }
+      offsets.push_back(page->ssd_offset());
+      frames.push_back(*frame);
+    }
+  }
+  // Pages land on ascending frames, so a layer written out together is
+  // read back as adjacent runs too.
+  if (to_ssd) std::sort(offsets.begin(), offsets.end());
 
+  std::vector<std::future<util::Status>> pending;
+  pending.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const size_t bytes = batch[i]->total_bytes();
+    pending.push_back(to_ssd
+                          ? ssd_.WriteFrameAsync(offsets[i], frames[i], bytes)
+                          : ssd_.ReadFrameAsync(offsets[i], frames[i], bytes));
+  }
+  // Settle every request before committing anything or returning: each
+  // one points into an arena frame.
+  std::vector<util::Status> results;
+  results.reserve(pending.size());
+  for (auto& request : pending) results.push_back(request.get());
+
+  util::Status first_error;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Page* page = batch[i];
+    if (!results[i].ok()) {
+      // The page stays intact on its source; return its target frame.
+      if (to_ssd) {
+        ssd_.ReleaseFrame(offsets[i]);
+      } else {
+        MutableArena(target).ReleaseFrame(frames[i]);
+      }
+      if (first_error.ok()) first_error = results[i];
+      continue;
+    }
+    const DeviceKind source = page->device();
+    if (to_ssd) {
+      MutableArena(source).ReleaseFrame(frames[i]);
+      page->SetSsdResidence(offsets[i]);
+    } else {
+      ssd_.ReleaseFrame(offsets[i]);
+      page->SetResidence(target, frames[i]);
+    }
+    RecordMove(source, target, page->total_bytes());
+  }
+  return first_error;
+}
+
+void HierarchicalMemory::RecordMove(DeviceKind source, DeviceKind target,
+                                    size_t bytes) {
   metric_page_moves_->Increment();
   metric_page_move_bytes_->Increment(bytes);
-  {
-    util::MutexLock lock(stats_mutex_);
-    auto& cell = move_stats_[static_cast<int>(source)][static_cast<int>(target)];
-    cell.moves += 1;
-    cell.bytes += bytes;
-  }
-  return util::Status::OK();
+  util::MutexLock lock(stats_mutex_);
+  auto& cell = move_stats_[static_cast<int>(source)][static_cast<int>(target)];
+  cell.moves += 1;
+  cell.bytes += bytes;
 }
 
 size_t HierarchicalMemory::num_live_pages() const {

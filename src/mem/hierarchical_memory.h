@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -108,10 +109,28 @@ class HierarchicalMemory {
   [[nodiscard]] util::Status DestroyPage(Page* page, bool force = false)
       ANGEL_EXCLUDES(registry_mutex_);
 
-  /// Moves a page's contents to `target`, synchronously. Acquires the target
-  /// frame first, so on ResourceExhausted the page is untouched. This is the
-  /// primitive beneath Page::move(); asynchrony is added by CopyEngine.
+  /// Moves a page's contents to `target`, synchronously: a one-page
+  /// MovePages. Acquires the target frame first, so on ResourceExhausted the
+  /// page is untouched. This is the primitive beneath Page::move();
+  /// asynchrony is added by CopyEngine.
   [[nodiscard]] util::Status MovePageSync(Page* page, DeviceKind target)
+      ANGEL_EXCLUDES(stats_mutex_);
+
+  /// Moves every page of `pages` (distinct, non-null) to `target`,
+  /// synchronously; pages already there are skipped. The "hmem.move_page"
+  /// failpoint fires per page before any byte of that page moves.
+  ///
+  /// GPU <-> CPU pages move one at a time and the call stops at the first
+  /// error, so a full tier leaves a moved prefix that an evict-and-retry
+  /// caller resumes from. Pages crossing the SSD tier move as one batch
+  /// (DESIGN.md §12.5): every target frame is acquired up front (a full
+  /// tier fails the batch with every page untouched), every request goes
+  /// through the SsdTier queue in ascending file order so adjacent frames
+  /// coalesce, and every request settles before the call returns. Each
+  /// page whose I/O succeeded is then committed on `target`; a page whose
+  /// I/O failed stays intact on its source. Returns the first error.
+  [[nodiscard]] util::Status MovePages(std::span<Page* const> pages,
+                                       DeviceKind target)
       ANGEL_EXCLUDES(stats_mutex_);
 
   const PageArena& gpu_arena() const { return *gpu_arena_; }
@@ -141,6 +160,16 @@ class HierarchicalMemory {
 
  private:
   PageArena& MutableArena(DeviceKind device);
+  /// One GPU <-> CPU page copy over the (emulated) PCIe link.
+  [[nodiscard]] util::Status MoveMemoryPage(Page* page, DeviceKind target)
+      ANGEL_EXCLUDES(stats_mutex_);
+  /// The SSD half of MovePages: `batch` all crosses the SSD tier towards
+  /// `target`.
+  [[nodiscard]] util::Status MoveSsdBatch(std::vector<Page*> batch,
+                                          DeviceKind target)
+      ANGEL_EXCLUDES(stats_mutex_);
+  void RecordMove(DeviceKind source, DeviceKind target, size_t bytes)
+      ANGEL_EXCLUDES(stats_mutex_);
 
   HierarchicalMemoryOptions options_;
   std::unique_ptr<PageArena> gpu_arena_;

@@ -270,8 +270,14 @@ util::Result<TrainReport> EngineTrainer::Train(
   report.telemetry.copy = engine_->copy_engine()->Snapshot();
   report.telemetry.has_copy_engine = true;
 
-  // Validation on the master parameters.
+  // Validation on the master parameters, read once (with SSD masters each
+  // read is a round trip through the tier).
   ANGEL_SPAN("train", "validate");
+  std::vector<std::vector<float>> masters(size_t(model_->num_layers()));
+  for (int l = 0; l < model_->num_layers(); ++l) {
+    ANGEL_RETURN_IF_ERROR(
+        engine_->updater()->ReadMasterParams(l, &masters[size_t(l)]));
+  }
   util::Rng validation_rng(options_.seed ^ 0x5EEDF00Dull);
   double total = 0.0;
   const int validation_batches = 8;
@@ -280,12 +286,9 @@ util::Result<TrainReport> EngineTrainer::Train(
     dataset.GenBatch(&validation_rng, options_.batch_size, &x, &y);
     std::vector<float> acts = x;
     for (int l = 0; l < model_->num_layers(); ++l) {
-      std::vector<float> params;
-      ANGEL_RETURN_IF_ERROR(
-          engine_->updater()->ReadMasterParams(l, &params));
       std::vector<float> next;
-      model_->Forward(l, params.data(), acts, options_.batch_size, &next,
-                      nullptr);
+      model_->Forward(l, masters[size_t(l)].data(), acts,
+                      options_.batch_size, &next, nullptr);
       acts = std::move(next);
     }
     std::vector<float> grad(acts.size());

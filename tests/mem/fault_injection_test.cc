@@ -1,8 +1,10 @@
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -291,6 +293,164 @@ TEST_F(MemFaultInjectionTest, CoalescedBatchFailsEveryRequestItCarried) {
   EXPECT_EQ(fi().calls("ssd.pwrite"), stats.io_batches);
   EXPECT_LT(stats.io_batches, 6u);
   EXPECT_EQ(stats.bytes_written, 0u);
+}
+
+// A permanent fault partway through a batched SSD crossing: the first
+// attempt succeeds, every later one fails. With at most two requests per
+// syscall a six-page batch needs at least three, so some pages commit and
+// some fail on both backends.
+struct BatchOutcome {
+  size_t on_target = 0;
+  size_t on_source = 0;
+};
+
+class BatchedMoveFaultTest : public MemFaultInjectionTest {
+ protected:
+  static constexpr size_t kPages = 6;
+
+  static HierarchicalMemoryOptions BatchOptions(const char* tag,
+                                                size_t io_workers) {
+    HierarchicalMemoryOptions o = MemoryOptions(tag);
+    o.ssd_io_workers = io_workers;
+    o.ssd_io_coalesce = 2;
+    return o;
+  }
+
+  static void ArmAfterFirstAttempt(const char* site) {
+    util::FaultRule rule;
+    rule.permanent = true;
+    rule.after_calls = 1;
+    fi().Arm(site, rule);
+  }
+
+  static std::byte Fill(size_t page) { return std::byte(0x30 + page); }
+
+  static std::vector<Page*> MakePages(HierarchicalMemory* memory) {
+    std::vector<Page*> pages;
+    for (size_t i = 0; i < kPages; ++i) {
+      auto page = memory->CreatePage(DeviceKind::kCpu);
+      EXPECT_TRUE(page.ok());
+      std::memset((*page)->data_ptr(), int(Fill(i)), kFrame);
+      pages.push_back(*page);
+    }
+    return pages;
+  }
+
+  /// Every page is either on `target` or intact on `source`; a page left
+  /// in memory still holds its bytes.
+  static BatchOutcome Classify(const std::vector<Page*>& pages,
+                               DeviceKind source, DeviceKind target) {
+    BatchOutcome outcome;
+    for (size_t i = 0; i < pages.size(); ++i) {
+      const DeviceKind device = pages[i]->device();
+      EXPECT_TRUE(device == source || device == target) << "page " << i;
+      (device == target ? outcome.on_target : outcome.on_source) += 1;
+      if (device == DeviceKind::kCpu) {
+        for (size_t b = 0; b < kFrame; b += 509) {
+          EXPECT_EQ(pages[i]->data_ptr()[b], Fill(i)) << "page " << i;
+        }
+      }
+    }
+    return outcome;
+  }
+
+  /// No request outlives the call: the failpoint and the byte counters
+  /// stay still afterwards.
+  static void ExpectNothingInFlight(HierarchicalMemory* memory,
+                                    const char* site) {
+    const uint64_t calls = fi().calls(site);
+    const SsdTier::Stats before = memory->ssd()->Snapshot();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const SsdTier::Stats after = memory->ssd()->Snapshot();
+    EXPECT_EQ(fi().calls(site), calls);
+    EXPECT_EQ(after.bytes_read, before.bytes_read);
+    EXPECT_EQ(after.bytes_written, before.bytes_written);
+    EXPECT_EQ(after.io_batches, before.io_batches);
+  }
+
+  /// Moves everything back to the CPU with faults cleared and checks that
+  /// every byte survived and every frame came home.
+  static void RecoverAndVerify(HierarchicalMemory* memory,
+                               const std::vector<Page*>& pages,
+                               size_t ssd_free, uint64_t cpu_used) {
+    fi().Reset();
+    ASSERT_TRUE(memory->MovePages(pages, DeviceKind::kCpu).ok());
+    const BatchOutcome outcome =
+        Classify(pages, DeviceKind::kSsd, DeviceKind::kCpu);
+    EXPECT_EQ(outcome.on_target, kPages);
+    EXPECT_EQ(memory->ssd()->free_frames(), ssd_free);
+    EXPECT_EQ(memory->used_bytes(DeviceKind::kCpu), cpu_used);
+  }
+};
+
+TEST_F(BatchedMoveFaultTest, PermanentWriteFaultMidBatchCommitsOrKeepsEachPage) {
+  for (const size_t workers : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("io_workers=" + std::to_string(workers));
+    fi().Reset();
+    HierarchicalMemory memory(BatchOptions("batchout", workers));
+    const std::vector<Page*> pages = MakePages(&memory);
+    const size_t ssd_free = memory.ssd()->free_frames();
+    const uint64_t cpu_used = memory.used_bytes(DeviceKind::kCpu);
+
+    ArmAfterFirstAttempt("ssd.pwrite");
+    EXPECT_TRUE(memory.MovePages(pages, DeviceKind::kSsd).IsIoError());
+    ExpectNothingInFlight(&memory, "ssd.pwrite");
+    const BatchOutcome outcome =
+        Classify(pages, DeviceKind::kCpu, DeviceKind::kSsd);
+    EXPECT_GE(outcome.on_target, 1u);
+    EXPECT_GE(outcome.on_source, 1u);
+    // Frames of failed pages went back; only committed pages hold any.
+    EXPECT_EQ(memory.ssd()->free_frames(), ssd_free - outcome.on_target);
+    EXPECT_EQ(memory.used_bytes(DeviceKind::kCpu),
+              cpu_used - outcome.on_target * kFrame);
+
+    RecoverAndVerify(&memory, pages, ssd_free, cpu_used);
+  }
+}
+
+TEST_F(BatchedMoveFaultTest, PermanentReadFaultMidBatchCommitsOrKeepsEachPage) {
+  for (const size_t workers : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("io_workers=" + std::to_string(workers));
+    fi().Reset();
+    HierarchicalMemory memory(BatchOptions("batchin", workers));
+    const std::vector<Page*> pages = MakePages(&memory);
+    const size_t ssd_free = memory.ssd()->free_frames();
+    const uint64_t cpu_used = memory.used_bytes(DeviceKind::kCpu);
+    ASSERT_TRUE(memory.MovePages(pages, DeviceKind::kSsd).ok());
+    const size_t ssd_free_staged = memory.ssd()->free_frames();
+
+    ArmAfterFirstAttempt("ssd.pread");
+    EXPECT_TRUE(memory.MovePages(pages, DeviceKind::kCpu).IsIoError());
+    ExpectNothingInFlight(&memory, "ssd.pread");
+    const BatchOutcome outcome =
+        Classify(pages, DeviceKind::kSsd, DeviceKind::kCpu);
+    EXPECT_GE(outcome.on_target, 1u);
+    EXPECT_GE(outcome.on_source, 1u);
+    // CPU frames acquired for failed pages were released.
+    EXPECT_EQ(memory.used_bytes(DeviceKind::kCpu),
+              outcome.on_target * kFrame);
+    EXPECT_EQ(memory.ssd()->free_frames(),
+              ssd_free_staged + outcome.on_target);
+
+    RecoverAndVerify(&memory, pages, ssd_free, cpu_used);
+  }
+}
+
+TEST_F(BatchedMoveFaultTest, MovePageFailpointFiresPerPageBeforeAnyIo) {
+  HierarchicalMemory memory(BatchOptions("batchfp", 4));
+  const std::vector<Page*> pages = MakePages(&memory);
+  const size_t ssd_free = memory.ssd()->free_frames();
+  util::FaultRule rule;
+  rule.nth_call = 3;
+  rule.code = util::StatusCode::kInternal;
+  fi().Arm("hmem.move_page", rule);
+  EXPECT_EQ(memory.MovePages(pages, DeviceKind::kSsd).code(),
+            util::StatusCode::kInternal);
+  EXPECT_EQ(fi().calls("hmem.move_page"), 3u);
+  EXPECT_EQ(fi().calls("ssd.pwrite"), 0u);
+  EXPECT_EQ(Classify(pages, DeviceKind::kCpu, DeviceKind::kSsd).on_source,
+            kPages);
+  EXPECT_EQ(memory.ssd()->free_frames(), ssd_free);
 }
 
 TEST_F(MemFaultInjectionTest, PageMutexMapIsGarbageCollected) {

@@ -26,6 +26,11 @@ mem::HierarchicalMemoryOptions MemoryOptions(const char* tag) {
   o.ssd_capacity_bytes = 64ull << 20;
   o.ssd_path = std::string("/tmp/angelptm_recovery_test_") + tag + "_" +
                std::to_string(::getpid()) + ".bin";
+  // One queue worker: a master write-back is one batch of requests, and
+  // two workers could split a max:3 fault across two syscalls that each
+  // retry past it. One worker runs a syscall's three attempts back to back,
+  // so the fault outlasts exactly one retry loop.
+  o.ssd_io_workers = 1;
   return o;
 }
 
