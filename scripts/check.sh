@@ -306,12 +306,14 @@ if [ "$MODE" = all ] || [ "$MODE" = --lockdep ]; then
   # Schedule-perturbation sweep: seeded yield/sleep injection at every
   # instrumented lock acquire and failpoint, over the concurrency-core
   # suites. Each seed is an independent, reproducible schedule; a failure
-  # replays with the printed seed.
+  # replays with the printed seed. The updater leg includes the sync-barrier
+  # parity suite: threaded updates released by DrainUpdates must stay
+  # bitwise equal to the inline UpdateOnce pass under every schedule.
   for SEED in 1 2 3; do
     echo "--- perturbation sweep: ANGELPTM_PERTURB_SEED=$SEED ---"
     ANGELPTM_PERTURB_SEED=$SEED ANGELPTM_PERTURB_PROB=0.05 \
       ./build-lockdep/tests/runtime_test \
-        --gtest_filter='LockFreeUpdater*:EngineTest.*'
+        --gtest_filter='LockFreeUpdater*:*SyncUpdateParity*:EngineTest.*'
     ANGELPTM_PERTURB_SEED=$SEED ANGELPTM_PERTURB_PROB=0.05 \
       ./build-lockdep/tests/mem_test \
         --gtest_filter='CopyEngineTest.*:SsdTierTest.*'

@@ -147,6 +147,14 @@ util::Status Allocator::Release(Tensor* tensor) {
 
 util::Status Allocator::Move(std::span<Tensor* const> tensors,
                              mem::DeviceKind target) {
+  // The lock spans the I/O of MovePages, not just the page collection, so
+  // every compute-side Allocate/Release/Move waits behind an updater
+  // thread's master batch (~7 ms per layer on the throttled SSD of
+  // perfbench ssd_sync). Narrowing it to the collection measured ssd_sync
+  // at ~145-160 samples/s (from ~120), but lock-free training then ran
+  // further ahead: ssd_lockfree valid_loss 0.85 -> 1.2-1.4, staleness max
+  // 4 -> 12. This lock is what paces the lock-free loop today, so it stays
+  // until that loop has its own convergence gate (ROADMAP.md).
   util::MutexLock lock(mutex_);
   std::vector<mem::Page*> pages;
   std::unordered_set<const mem::Page*> seen;

@@ -35,8 +35,11 @@ util::Result<std::unique_ptr<Engine>> Engine::Create(
   updater_options.master_device = options.master_device;
   engine->updater_ = std::make_unique<LockFreeUpdater>(
       engine->allocator_.get(), updater_options);
+  obs::Registry& registry = obs::Registry::Instance();
   engine->metric_prefetch_move_failures_ =
-      obs::Registry::Instance().GetCounter("engine/prefetch_move_failures");
+      registry.GetCounter("engine/prefetch_move_failures");
+  engine->metric_update_barrier_us_ =
+      registry.GetHistogram("engine/update_barrier_us");
   return engine;
 }
 
@@ -73,9 +76,10 @@ util::Status Engine::BeginStep() {
     tracer_.Reset();
   }
   planner_.BeginStep();
-  if (options_.lock_free && !updater_->running()) {
-    updater_->Start();
-  }
+  // Both modes update on the updater's threads, overlapping each layer's
+  // master I/O and optimizer step with the rest of the backward pass;
+  // synchronous mode then waits for them at EndStep's barrier.
+  if (!updater_->running()) updater_->Start();
   return IssueReadyPrefetches();
 }
 
@@ -394,7 +398,17 @@ util::Status Engine::EndStep() {
     ANGEL_RETURN_IF_ERROR(BuildScheduleFromTrace());
   }
   if (!options_.lock_free) {
-    ANGEL_RETURN_IF_ERROR(updater_->UpdateOnce());
+    // Step barrier (DESIGN.md §12.6): every gradient pushed this step is
+    // applied and its parameters published before the next step's first
+    // FetchParams, exactly as after a serial update pass.
+    ANGEL_SPAN("engine", "update_barrier");
+    const auto barrier_start = std::chrono::steady_clock::now();
+    const util::Status drained = updater_->DrainUpdates();
+    metric_update_barrier_us_->Record(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - barrier_start)
+            .count()));
+    ANGEL_RETURN_IF_ERROR(drained);
   }
   step_active_ = false;
   steps_completed_ += 1;

@@ -26,7 +26,9 @@ struct EngineOptions {
   /// Legacy Adam knobs (see TrainerOptions::adam): non-default fields
   /// override `optimizer` via ResolveLegacyAdam. Prefer `optimizer`.
   AdamConfig adam;
-  /// Enable the lock-free updating mechanism (Algorithm 2).
+  /// Enable the lock-free updating mechanism (Algorithm 2). Either way the
+  /// updates run on the updater's threads during backward; off, EndStep
+  /// waits for them (bitwise-identical to a serial update pass).
   bool lock_free = false;
   /// Tier holding the fp32 master states (kSsd for §6.5's extreme scale).
   mem::DeviceKind master_device = mem::DeviceKind::kCpu;
@@ -40,7 +42,8 @@ struct EngineOptions {
 /// tracing the first iteration to learn tensor life-times (§5 Tracer),
 /// building the Algorithm-1 schedule from the trace, prefetching
 /// asynchronously on later iterations, releasing working tensors after
-/// their last use, and updating through the (optionally lock-free) Adam.
+/// their last use, and updating through the (optionally lock-free) Adam
+/// on the updater's threads, overlapped with the backward pass.
 ///
 /// Step protocol, mirroring the forward/backward structure:
 ///
@@ -79,9 +82,12 @@ class Engine {
   /// resident on the fast tier. Each call is one access in the layer's
   /// life-time; call once per forward and once per backward.
   [[nodiscard]] util::Result<std::vector<float>> UseLayerParams(int layer);
-  /// Offloads the layer's gradients (backward order). The layer's working
-  /// tensor is released once its traced accesses are exhausted.
+  /// Offloads the layer's gradients (backward order) to the updater's
+  /// threads, which update the layer while backward continues. The layer's
+  /// working tensor is released once its traced accesses are exhausted.
   [[nodiscard]] util::Status PushGrads(int layer, const std::vector<float>& grads);
+  /// Ends the step; in synchronous mode, returns once every gradient pushed
+  /// this step is applied and its fp16 parameters are published.
   [[nodiscard]] util::Status EndStep();
 
   // --- Introspection ---
@@ -162,6 +168,8 @@ class Engine {
   uint64_t scheduled_uses_ = 0;
   uint64_t prefetch_move_failures_ = 0;
   obs::Counter* metric_prefetch_move_failures_ = nullptr;
+  /// Time synchronous EndStep waits on the updater threads.
+  obs::Histogram* metric_update_barrier_us_ = nullptr;
 };
 
 }  // namespace angelptm::core

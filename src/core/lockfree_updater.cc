@@ -236,11 +236,19 @@ void LockFreeUpdater::Start() {
 
 void LockFreeUpdater::Stop() {
   if (!running_.exchange(false)) return;
-  queue_cv_.NotifyAll();
+  WakeQueueWaiters();
   backpressure_cv_.NotifyAll();
   SignalWork();
-  if (buffering_thread_.joinable()) buffering_thread_.join();
+  // The updating thread may still be queueing an install; the buffering
+  // thread drains the queue before it exits, so join them in that order.
   if (updating_thread_.joinable()) updating_thread_.join();
+  if (buffering_thread_.joinable()) buffering_thread_.join();
+}
+
+void LockFreeUpdater::WakeQueueWaiters() {
+  util::MutexLock lock(queue_mutex_);
+  queue_cv_.NotifyAll();
+  drain_cv_.NotifyAll();
 }
 
 void LockFreeUpdater::SignalWork() {
@@ -252,7 +260,6 @@ void LockFreeUpdater::SignalWork() {
 }
 
 util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
-  ANGEL_SPAN("updater", "update_layer");
   Layer* layer = layers_[layer_index].get();
   // Snapshot-and-clear the accumulated fp16 gradients (see class comment).
   std::vector<float> grads;
@@ -266,6 +273,9 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
     batches_taken = layer->pending_batches;
     layer->pending_batches = 0;
   }
+  // Traced from here on: the updating thread probes every layer per sweep,
+  // and the idle probes (returned above) would outnumber real updates.
+  ANGEL_SPAN("updater", "update_layer");
   {
     // Release the staleness valve: these batches are no longer in flight.
     // Saturating, because batches offloaded in synchronous mode (no valve
@@ -314,6 +324,7 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
     if (running_.load()) {
       util::MutexLock lock(queue_mutex_);
       buffer_queue_.push_back(BufferTask{layer_index, true, p});
+      installs_queued_ += 1;
       queue_cv_.NotifyOne();
     } else {
       util::MutexLock lock(layer->buffer_mutex);
@@ -326,7 +337,13 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
     }
   }
   updates_applied_.fetch_add(1);
-  grad_batches_applied_.fetch_add(batches_taken);
+  {
+    // Under queue_mutex_, so a DrainUpdates waiter that just found the
+    // count short is already waiting when the notify lands.
+    util::MutexLock lock(queue_mutex_);
+    grad_batches_applied_.fetch_add(batches_taken);
+    drain_cv_.NotifyAll();
+  }
   metric_updates_applied_->Increment();
   metric_staleness_->Record(batches_taken);
   metric_pending_batches_->Set(
@@ -408,29 +425,38 @@ void LockFreeUpdater::BufferingThreadLoop() {
     Layer& layer = *layers_[task.layer];
     ANGEL_SPAN("updater",
                task.is_params ? "buffer_install" : "buffer_accumulate");
-    {
-      util::MutexLock lock(layer.buffer_mutex);
-      if (task.is_params) {
-        // Install updated parameters into p'16 (Algorithm 2 line 13) and
-        // publish the new version through the seqlock mirror.
-        util::Status status =
+    util::Status status;
+    if (task.is_params) {
+      // Install updated parameters into p'16 (Algorithm 2 line 13) and
+      // publish the new version through the seqlock mirror.
+      {
+        util::MutexLock lock(layer.buffer_mutex);
+        status =
             util::FaultInjector::Instance().Check("updater.buffer_install");
         if (status.ok()) {
           status = layer.buffered_params->WriteFloats(task.data);
         }
-        if (!status.ok()) {
-          // A failed install leaves the compute side reading stale (but
-          // consistent) parameters forever; that is silent divergence, so
-          // treat it as fatal rather than logging and moving on.
-          Poison(status);
-          return;
-        }
-        PublishParams(layer, task.data);
-        continue;
+        if (status.ok()) PublishParams(layer, task.data);
       }
+      if (!status.ok()) {
+        // A failed install leaves the compute side reading stale (but
+        // consistent) parameters forever; that is silent divergence, so
+        // treat it as fatal rather than logging and moving on.
+        Poison(status);
+        return;
+      }
+      // Counted only now that FetchParams can see it: this, not the empty
+      // queue, is what releases the DrainUpdates barrier.
+      util::MutexLock lock(queue_mutex_);
+      installs_published_ += 1;
+      drain_cv_.NotifyAll();
+      continue;
+    }
+    {
       // Accumulate into g'16 (line 15).
+      util::MutexLock lock(layer.buffer_mutex);
       std::vector<float> accumulated;
-      util::Status status =
+      status =
           util::FaultInjector::Instance().Check("updater.buffer_accumulate");
       if (status.ok()) status = layer.buffered_grads->ReadFloats(&accumulated);
       if (status.ok()) {
@@ -439,13 +465,13 @@ void LockFreeUpdater::BufferingThreadLoop() {
         }
         status = layer.buffered_grads->WriteFloats(accumulated);
       }
-      if (!status.ok()) {
-        // The batch was lost; marking it pending anyway would make the
-        // updater apply a zero (or partial) gradient and report it drained.
-        Poison(status);
-        return;
-      }
-      layer.pending_batches += 1;
+      // A lost batch must not be marked pending: the updater would apply a
+      // zero (or partial) gradient and report it drained.
+      if (status.ok()) layer.pending_batches += 1;
+    }
+    if (!status.ok()) {
+      Poison(status);
+      return;
     }
     // The gradient is now visible to UpdateLayer: wake the updating thread.
     SignalWork();
@@ -470,27 +496,30 @@ util::Status LockFreeUpdater::UpdateOnce() {
 
 util::Status LockFreeUpdater::DrainUpdates(std::chrono::milliseconds deadline) {
   const auto deadline_at = std::chrono::steady_clock::now() + deadline;
-  while (true) {
-    if (poisoned_.load(std::memory_order_acquire)) return status();
+  for (;;) {
     {
       util::MutexLock lock(queue_mutex_);
-      const bool queue_empty = buffer_queue_.empty();
-      if (queue_empty && grad_batches_applied_.load() ==
-                             grad_batches_offloaded_.load()) {
-        return util::Status::OK();
+      for (;;) {
+        if (poisoned_.load(std::memory_order_acquire)) return status();
+        // Applied *and* published: an install popped off the queue is not
+        // yet visible to FetchParams (see installs_published_).
+        if (installs_published_ == installs_queued_ &&
+            grad_batches_applied_.load() == grad_batches_offloaded_.load()) {
+          return util::Status::OK();
+        }
+        const auto now = std::chrono::steady_clock::now();
+        if (now >= deadline_at) {
+          return util::Status::DeadlineExceeded(
+              "DrainUpdates: " + std::to_string(pending_grad_batches()) +
+              " gradient batches still pending after " +
+              std::to_string(deadline.count()) + "ms");
+        }
+        if (!running_.load()) break;
+        (void)drain_cv_.WaitFor(queue_mutex_, deadline_at - now);
       }
     }
-    if (std::chrono::steady_clock::now() >= deadline_at) {
-      return util::Status::DeadlineExceeded(
-          "DrainUpdates: " + std::to_string(pending_grad_batches()) +
-          " gradient batches still pending after " +
-          std::to_string(deadline.count()) + "ms");
-    }
-    if (!running_.load()) {
-      // No threads to make progress; apply inline.
-      ANGEL_RETURN_IF_ERROR(UpdateOnce());
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    // No threads to make progress; apply inline.
+    ANGEL_RETURN_IF_ERROR(UpdateOnce());
   }
 }
 
@@ -512,9 +541,10 @@ void LockFreeUpdater::Poison(const util::Status& status) {
     poisoned_.store(true, std::memory_order_release);
   }
   ANGEL_LOG(Error) << "lock-free updater poisoned: " << status.ToString();
-  // Wake both background threads (and any compute thread blocked on the
-  // staleness valve) so they observe the state promptly.
-  queue_cv_.NotifyAll();
+  // Wake both background threads, DrainUpdates waiters and any compute
+  // thread blocked on the staleness valve so they observe the state
+  // promptly.
+  WakeQueueWaiters();
   backpressure_cv_.NotifyAll();
   SignalWork();
 }

@@ -77,6 +77,15 @@ namespace angelptm::core {
 /// observable via Snapshot().pending_grad_batches. §6.5 shows convergence is
 /// not harmed — reproduced by bench/table6_ssd_lockfree.
 ///
+/// Synchronous training runs on the same two threads (DESIGN.md §12.6):
+/// core::Engine starts them in both modes, so each layer's master read,
+/// update and write-back overlap the rest of the backward pass, and a sync
+/// step ends at DrainUpdates — the step barrier. The barrier waits until
+/// every offloaded gradient is applied *and* its updated parameters are
+/// published to the FetchParams mirror, so the next step reads exactly what
+/// the serial UpdateOnce pass would have produced: one batch per layer per
+/// step, the same Optimizer::Update call, bitwise-identical results.
+///
 /// Failure semantics: the first unrecoverable error on either background
 /// thread (an SSD I/O failure that survives the SsdTier retry policy, a
 /// buffer install/accumulate failure) *poisons* the updater — the thread
@@ -144,20 +153,29 @@ class LockFreeUpdater {
 
   // --- Control ---
 
-  /// Spawns the buffering and updating threads (asynchronous mode).
+  /// Spawns the buffering and updating threads.
   void Start();
-  /// Joins the threads. Pending gradients stay buffered.
-  void Stop() ANGEL_EXCLUDES(work_mutex_);
+  /// Joins the threads, the updating thread first so every install it
+  /// queued is published before the buffering thread exits. Pending
+  /// gradients stay buffered.
+  void Stop() ANGEL_EXCLUDES(queue_mutex_, work_mutex_);
   bool running() const { return running_.load(); }
 
-  /// Synchronous baseline: applies one full update pass inline (every dirty
-  /// layer), blocking the caller. Must not run concurrently with Start().
+  /// Applies one full update pass inline (every dirty layer), blocking the
+  /// caller. Must not run concurrently with Start(). Callers are
+  /// train::Trainer (whose grad_accumulation folds several batches into
+  /// one update) and DrainUpdates on a stopped updater; core::Engine's
+  /// synchronous mode uses the threads plus the DrainUpdates barrier.
   [[nodiscard]] util::Status UpdateOnce();
 
-  /// Blocks until every gradient offloaded so far has been applied, the
-  /// deadline passes (DeadlineExceeded), or the updater is poisoned (the
-  /// poison status). Never spins forever: a dead updating thread surfaces
-  /// as an error within the deadline.
+  /// Blocks until every gradient offloaded so far has been applied and the
+  /// resulting parameters are visible to FetchParams, the deadline passes
+  /// (DeadlineExceeded), or the updater is poisoned (the poison status).
+  /// With the threads running it sleeps on a condition variable that the
+  /// last install (or the last applied update) signals; on a stopped
+  /// updater it applies the pending gradients inline via UpdateOnce. Never
+  /// waits forever: a dead updating thread surfaces as an error within the
+  /// deadline.
   [[nodiscard]] util::Status DrainUpdates(
       std::chrono::milliseconds deadline = std::chrono::milliseconds(60000))
       ANGEL_EXCLUDES(queue_mutex_);
@@ -262,7 +280,12 @@ class LockFreeUpdater {
   void BufferingThreadLoop() ANGEL_EXCLUDES(queue_mutex_, work_mutex_);
   /// Records the first unrecoverable error; later calls keep the original.
   void Poison(const util::Status& status)
-      ANGEL_EXCLUDES(poison_mutex_, work_mutex_);
+      ANGEL_EXCLUDES(poison_mutex_, queue_mutex_, work_mutex_);
+  /// Wakes the buffering thread and DrainUpdates waiters after a state
+  /// change they test under queue_mutex_ (running_, poisoned_). Notifying
+  /// under the lock closes the window between a waiter's check and its
+  /// wait.
+  void WakeQueueWaiters() ANGEL_EXCLUDES(queue_mutex_);
   /// Bumps the work epoch and wakes the updating thread.
   void SignalWork() ANGEL_EXCLUDES(work_mutex_);
   /// Publishes `values` (as fp16 bits) into the layer's seqlock mirror.
@@ -292,6 +315,15 @@ class LockFreeUpdater {
                                    util::lockrank::kUpdaterQueue};
   util::CondVar queue_cv_;
   std::deque<BufferTask> buffer_queue_ ANGEL_GUARDED_BY(queue_mutex_);
+  /// Install accounting for the DrainUpdates barrier: a popped install task
+  /// is off the queue before the buffering thread publishes it, so "queue
+  /// empty" does not mean "visible to FetchParams". Installs are counted
+  /// when queued and again once published; drain_cv_ (waited on under
+  /// queue_mutex_) is signalled by every publish, every applied update,
+  /// Stop and Poison.
+  uint64_t installs_queued_ ANGEL_GUARDED_BY(queue_mutex_) = 0;
+  uint64_t installs_published_ ANGEL_GUARDED_BY(queue_mutex_) = 0;
+  util::CondVar drain_cv_;
 
   /// Wakeup channel for the updating thread (replaces the old idle-sleep
   /// poll): the epoch counts SignalWork calls, so a signal that lands

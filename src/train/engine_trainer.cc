@@ -184,7 +184,7 @@ util::Result<double> EngineTrainer::Step(const std::vector<float>& x,
     bwd_us_.Record(elapsed);
     metric_bwd_us_->Record(elapsed);
   }
-  // EndStep runs the drain and (in synchronous mode) the optimizer pass.
+  // EndStep runs the drain and (in synchronous mode) the update barrier.
   const uint64_t opt_start = NowUs();
   ANGEL_RETURN_IF_ERROR(engine_->EndStep());
   {

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "train/kernels.h"
 #include "train/mlp.h"
 #include "train/transformer.h"
+#include "obs/metrics.h"
 #include "util/fault_injector.h"
 #include "util/random.h"
 
@@ -501,6 +503,95 @@ TEST(EngineTest, ModelLargerThanGpuStillTrainsViaPaging) {
   const mem::MoveStats up = (*engine)->memory()->move_stats(
       mem::DeviceKind::kCpu, mem::DeviceKind::kGpu);
   EXPECT_GT(up.moves, 40u);
+}
+
+TEST(EngineTest, SyncStepsMatchSerialUpdatePassBitwise) {
+  // Synchronous mode updates on the updater's threads during backward and
+  // waits at EndStep's barrier. The result must be bit for bit what the
+  // serial path produces: the same model and batches driven straight
+  // through an updater that applies each step with one inline UpdateOnce.
+  EngineOptions options = SmallEngineOptions();
+  options.memory.ssd_capacity_bytes = 16ull << 20;
+  options.memory.ssd_path =
+      "/tmp/angelptm_engine_parity_" + std::to_string(::getpid()) + ".bin";
+  options.master_device = mem::DeviceKind::kSsd;
+  train::MlpModel model({{16, 64, 64, 4}});
+  const int steps = 12;
+  obs::Histogram* barrier_us =
+      obs::Registry::Instance().GetHistogram("engine/update_barrier_us");
+  const uint64_t barriers_before = barrier_us->Snapshot().count;
+
+  auto engine = Engine::Create(options);
+  ASSERT_TRUE(engine.ok());
+  util::Rng engine_rng(41);
+  for (int l = 0; l < model.num_layers(); ++l) {
+    ASSERT_TRUE(
+        (*engine)->RegisterLayer(model.InitLayerParams(l, &engine_rng)).ok());
+  }
+  const double engine_loss =
+      TrainThroughEngine(engine->get(), model, steps, &engine_rng);
+
+  mem::HierarchicalMemoryOptions memory_options = options.memory;
+  memory_options.ssd_path += ".serial";
+  mem::HierarchicalMemory memory(memory_options);
+  Allocator allocator(&memory);
+  LockFreeUpdater::Options updater_options;
+  updater_options.optimizer = ResolveLegacyAdam(options.optimizer, options.adam);
+  updater_options.master_device = options.master_device;
+  LockFreeUpdater serial(&allocator, updater_options);
+  util::Rng serial_rng(41);
+  for (int l = 0; l < model.num_layers(); ++l) {
+    ASSERT_TRUE(serial.AddLayer(model.InitLayerParams(l, &serial_rng)).ok());
+  }
+  train::SyntheticRegression dataset(16, 32, 4, 99);
+  const size_t batch = 16;
+  std::vector<float> x, y;
+  double serial_loss = 0;
+  for (int step = 0; step < steps; ++step) {
+    dataset.GenBatch(&serial_rng, batch, &x, &y);
+    std::vector<std::vector<float>> params(size_t(model.num_layers()));
+    std::vector<train::LayerStash> stash(size_t(model.num_layers()));
+    std::vector<float> acts = x;
+    for (int l = 0; l < model.num_layers(); ++l) {
+      ASSERT_TRUE(serial.FetchParams(l, &params[size_t(l)]).ok());
+      std::vector<float> next;
+      model.Forward(l, params[size_t(l)].data(), acts, batch, &next,
+                    &stash[size_t(l)]);
+      acts = std::move(next);
+    }
+    std::vector<float> grad(acts.size());
+    serial_loss =
+        train::MseLoss(acts.data(), y.data(), grad.data(), acts.size());
+    for (int l = model.num_layers() - 1; l >= 0; --l) {
+      std::vector<float> grad_in, grad_params;
+      model.Backward(l, params[size_t(l)].data(), stash[size_t(l)], grad,
+                     batch, &grad_in, &grad_params);
+      ASSERT_TRUE(serial.OffloadGrads(l, grad_params).ok());
+      grad = std::move(grad_in);
+    }
+    ASSERT_TRUE(serial.UpdateOnce().ok());
+  }
+
+  EXPECT_EQ(std::memcmp(&engine_loss, &serial_loss, sizeof(double)), 0)
+      << engine_loss << " vs " << serial_loss;
+  LockFreeUpdater* updater = (*engine)->updater();
+  for (int l = 0; l < model.num_layers(); ++l) {
+    std::vector<float> want, got;
+    ASSERT_TRUE(serial.ReadMasterParams(l, &want).ok());
+    ASSERT_TRUE(updater->ReadMasterParams(l, &got).ok());
+    ASSERT_EQ(want.size(), got.size());
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+              0)
+        << "layer " << l;
+  }
+  // The updates ran on the threads, one batch per layer per step, and the
+  // barrier left nothing pending.
+  EXPECT_TRUE(updater->running());
+  const LockFreeUpdater::Stats stats = updater->Snapshot();
+  EXPECT_EQ(stats.updates_applied, uint64_t(steps * model.num_layers()));
+  EXPECT_EQ(stats.pending_grad_batches, 0u);
+  EXPECT_EQ(stats.staleness.Max(), 1u);
+  EXPECT_EQ(barrier_us->Snapshot().count - barriers_before, uint64_t(steps));
 }
 
 }  // namespace

@@ -3,32 +3,49 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/adam.h"
 #include "util/fault_injector.h"
+#include "util/half.h"
+#include "util/random.h"
 
 namespace angelptm::core {
 namespace {
 
+/// Memory shape shared by the updater tests; every call gets its own SSD
+/// backing file.
+mem::HierarchicalMemoryOptions MemoryOptions() {
+  static int counter = 0;
+  mem::HierarchicalMemoryOptions o;
+  o.page_bytes = 16 * 1024;
+  o.gpu_capacity_bytes = 4ull << 20;
+  o.cpu_capacity_bytes = 32ull << 20;
+  o.ssd_capacity_bytes = 32ull << 20;
+  o.ssd_path = "/tmp/angelptm_lfu_test_" + std::to_string(::getpid()) + "_" +
+               std::to_string(counter++) + ".bin";
+  return o;
+}
+
+/// Bitwise equality of two float vectors (distinguishes -0/+0, NaN payloads).
+void ExpectSameBits(const std::vector<float>& expected,
+                    const std::vector<float>& actual, const std::string& what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  EXPECT_EQ(std::memcmp(expected.data(), actual.data(),
+                        expected.size() * sizeof(float)),
+            0)
+      << what;
+}
+
 class LockFreeUpdaterTest : public ::testing::Test {
  protected:
-  LockFreeUpdaterTest() : memory_(MakeOptions()), allocator_(&memory_) {}
-
-  static mem::HierarchicalMemoryOptions MakeOptions() {
-    mem::HierarchicalMemoryOptions o;
-    o.page_bytes = 16 * 1024;
-    o.gpu_capacity_bytes = 4ull << 20;
-    o.cpu_capacity_bytes = 32ull << 20;
-    o.ssd_capacity_bytes = 32ull << 20;
-    o.ssd_path = "/tmp/angelptm_lfu_test_" + std::to_string(::getpid()) +
-                 "_" + std::to_string(counter_++) + ".bin";
-    return o;
-  }
+  LockFreeUpdaterTest() : memory_(MemoryOptions()), allocator_(&memory_) {}
 
   static LockFreeUpdater::Options UpdaterOptions(
       mem::DeviceKind master = mem::DeviceKind::kCpu) {
@@ -38,12 +55,9 @@ class LockFreeUpdaterTest : public ::testing::Test {
     return options;
   }
 
-  static int counter_;
   mem::HierarchicalMemory memory_;
   Allocator allocator_;
 };
-
-int LockFreeUpdaterTest::counter_ = 0;
 
 TEST_F(LockFreeUpdaterTest, InitialParamsVisibleThroughBuffers) {
   LockFreeUpdater updater(&allocator_, UpdaterOptions());
@@ -250,6 +264,126 @@ TEST_F(LockFreeUpdaterTest, StartStopIdempotent) {
   updater.Stop();
   SUCCEED();
 }
+
+TEST_F(LockFreeUpdaterTest, DrainReturnsOnlyAfterInstallsArePublished) {
+  // The install race: the buffering thread pops an install task before it
+  // publishes it, and with CPU masters the applied count moves right after
+  // the install is queued. A drain that looked only at "queue empty and
+  // applied == offloaded" could return while FetchParams still served the
+  // previous parameters. After a drain, the fp16 mirror must be exactly the
+  // fp16 rounding of the masters.
+  LockFreeUpdater updater(&allocator_, UpdaterOptions());
+  const size_t count = 4096;
+  ASSERT_TRUE(updater.AddLayer(std::vector<float>(count, 0.5f)).ok());
+  updater.Start();
+  util::Rng rng(17);
+  std::vector<float> grads(count), fetched, master;
+  for (int i = 0; i < 200; ++i) {
+    rng.FillGaussian(&grads, 1.0);
+    ASSERT_TRUE(updater.OffloadGrads(0, grads).ok());
+    ASSERT_TRUE(updater.DrainUpdates().ok());
+    ASSERT_TRUE(updater.FetchParams(0, &fetched).ok());
+    ASSERT_TRUE(updater.ReadMasterParams(0, &master).ok());
+    for (float& value : master) {
+      value = util::HalfBitsToFloat(util::FloatToHalfBits(value));
+    }
+    ExpectSameBits(master, fetched, "iteration " + std::to_string(i));
+    if (HasFailure()) break;
+  }
+  updater.Stop();
+}
+
+/// The synchronous-training contract: an updater driven on its threads and
+/// released by the DrainUpdates barrier after every step must be bitwise
+/// identical to one applying the same gradients inline with UpdateOnce —
+/// published fp16 params, fp32 masters, every optimizer slot and the step.
+class SyncUpdateParityTest
+    : public ::testing::TestWithParam<std::tuple<mem::DeviceKind, std::string>> {
+ protected:
+  struct Rig {
+    explicit Rig(const LockFreeUpdater::Options& options)
+        : memory(MemoryOptions()),
+          allocator(&memory),
+          updater(&allocator, options) {}
+    mem::HierarchicalMemory memory;
+    Allocator allocator;
+    LockFreeUpdater updater;
+  };
+};
+
+TEST_P(SyncUpdateParityTest, BarrierMatchesInlineUpdatePass) {
+  LockFreeUpdater::Options options;
+  options.master_device = std::get<0>(GetParam());
+  options.optimizer.rule = std::get<1>(GetParam());
+  options.optimizer.learning_rate = 0.01;
+  Rig inline_rig(options);
+  Rig threaded_rig(options);
+  LockFreeUpdater& serial = inline_rig.updater;
+  LockFreeUpdater& threaded = threaded_rig.updater;
+
+  // Layer sizes spanning several pages, a partial page and a tiny tail.
+  const std::vector<size_t> sizes = {3000, 37, 1500};
+  util::Rng init_rng(5);
+  for (const size_t size : sizes) {
+    std::vector<float> init(size);
+    init_rng.FillGaussian(&init, 0.5);
+    ASSERT_TRUE(serial.AddLayer(init).ok());
+    ASSERT_TRUE(threaded.AddLayer(init).ok());
+  }
+  threaded.Start();
+  util::Rng grad_rng(11);
+  for (int step = 0; step < 6; ++step) {
+    for (int l = int(sizes.size()) - 1; l >= 0; --l) {
+      std::vector<float> grads(sizes[size_t(l)]);
+      grad_rng.FillGaussian(&grads, 1.0);
+      ASSERT_TRUE(serial.OffloadGrads(l, grads).ok());
+      ASSERT_TRUE(threaded.OffloadGrads(l, grads).ok());
+    }
+    ASSERT_TRUE(serial.UpdateOnce().ok());
+    ASSERT_TRUE(threaded.DrainUpdates().ok());
+    for (int l = 0; l < int(sizes.size()); ++l) {
+      const std::string at =
+          "step " + std::to_string(step) + " layer " + std::to_string(l);
+      std::vector<float> want, got;
+      ASSERT_TRUE(serial.FetchParams(l, &want).ok());
+      ASSERT_TRUE(threaded.FetchParams(l, &got).ok());
+      ExpectSameBits(want, got, at + " fp16 params");
+      ASSERT_TRUE(serial.ReadMasterParams(l, &want).ok());
+      ASSERT_TRUE(threaded.ReadMasterParams(l, &got).ok());
+      ExpectSameBits(want, got, at + " fp32 masters");
+      LockFreeUpdater::LayerState want_state, got_state;
+      ASSERT_TRUE(serial.SnapshotLayerState(l, &want_state).ok());
+      ASSERT_TRUE(threaded.SnapshotLayerState(l, &got_state).ok());
+      EXPECT_EQ(want_state.step, step + 1) << at;
+      EXPECT_EQ(want_state.step, got_state.step) << at;
+      ExpectSameBits(want_state.params, got_state.params, at + " snapshot");
+      ASSERT_EQ(want_state.slots.size(), got_state.slots.size()) << at;
+      for (size_t s = 0; s < want_state.slots.size(); ++s) {
+        EXPECT_EQ(want_state.slots[s].name, got_state.slots[s].name) << at;
+        ExpectSameBits(want_state.slots[s].values, got_state.slots[s].values,
+                       at + " slot " + want_state.slots[s].name);
+      }
+    }
+    if (HasFailure()) break;
+  }
+  threaded.Stop();
+  const LockFreeUpdater::Stats stats = threaded.Snapshot();
+  EXPECT_EQ(stats.updates_applied, serial.Snapshot().updates_applied);
+  EXPECT_EQ(stats.staleness.Max(), 1u);  // One batch per layer per step.
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MastersAndRules, SyncUpdateParityTest,
+    ::testing::Combine(::testing::Values(mem::DeviceKind::kCpu,
+                                         mem::DeviceKind::kSsd),
+                       ::testing::Values(std::string("adam"),
+                                         std::string("sgdm"))),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == mem::DeviceKind::kSsd
+                             ? "Ssd"
+                             : "Cpu") +
+             "_" + std::get<1>(info.param);
+    });
 
 /// Failure semantics: injected faults must poison the updater and surface
 /// through status()/DrainUpdates instead of hanging or silently diverging.
