@@ -10,7 +10,10 @@
 //     what it is rather than as a regression;
 //   - throughput is reported as GFLOP/s for FLOP-bound kernels and GB/s
 //     for bandwidth-bound ones, with the FLOP/byte conventions spelled
-//     out at the definition site below.
+//     out at the definition site below;
+//   - the fp16 codec is single-threaded by design, so it is timed once
+//     per SIMD path (scalar and, where supported, avx2) rather than per
+//     thread count, each row naming its path.
 //
 // The run also enforces a GEMM-variant regression guard: at every thread
 // count, neither transposed variant may be more than 2x slower than the
@@ -37,6 +40,7 @@
 #include "core/adam.h"
 #include "train/kernels.h"
 #include "train/simd/dispatch.h"
+#include "train/simd/half_codec.h"
 #include "util/parallel_for.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -65,6 +69,7 @@ struct Measurement {
   double bytes = 0.0;  // Memory traffic per invocation; 0 when FLOP-bound.
   double ms = 0.0;
   int compute_threads = 0;
+  std::string simd_path;  // Set on rows timed under a forced path.
 
   double Gflops() const { return flops > 0.0 ? flops / ms / 1e6 : 0.0; }
   double Gbps() const { return bytes > 0.0 ? bytes / ms / 1e6 : 0.0; }
@@ -87,7 +92,9 @@ std::string FmtMs(double ms) {
 }
 
 void PrintRow(const Measurement& m) {
-  std::cout << "  " << std::left << std::setw(22) << m.name << std::setw(20)
+  const std::string label =
+      m.simd_path.empty() ? m.name : m.name + "/" + m.simd_path;
+  std::cout << "  " << std::left << std::setw(22) << label << std::setw(20)
             << m.shape << " " << std::setw(10) << FmtMs(m.ms);
   if (m.flops > 0.0) {
     std::cout << std::fixed << std::setprecision(1) << std::setw(7)
@@ -101,8 +108,11 @@ void PrintRow(const Measurement& m) {
 
 void JsonEntry(std::ostream& out, const Measurement& m, bool last) {
   out << "      {\"name\": \"" << m.name << "\", \"shape\": \"" << m.shape
-      << "\", \"compute_threads\": " << m.compute_threads
-      << ", \"ms\": " << m.ms;
+      << "\", \"compute_threads\": " << m.compute_threads;
+  if (!m.simd_path.empty()) {
+    out << ", \"simd_path\": \"" << m.simd_path << "\"";
+  }
+  out << ", \"ms\": " << m.ms;
   if (m.flops > 0.0) out << ", \"gflops\": " << m.Gflops();
   if (m.bytes > 0.0) out << ", \"gbps\": " << m.Gbps();
   out << "}" << (last ? "" : ",") << "\n";
@@ -289,7 +299,7 @@ int Main(int argc, char** argv) {
     for (const Kernel& k : kernels) {
       if (!k.reference) continue;
       Measurement m{k.name, k.shape, k.flops, k.bytes,
-                    TimeMs(k.reference, reps), 1};
+                    TimeMs(k.reference, reps), 1, ""};
       PrintRow(m);
       reference.push_back(m);
     }
@@ -307,7 +317,7 @@ int Main(int argc, char** argv) {
     std::vector<Measurement> block;
     for (const Kernel& k : kernels) {
       Measurement m{k.name, k.shape, k.flops, k.bytes, TimeMs(k.fn, reps),
-                    threads};
+                    threads, ""};
       PrintRow(m);
       block.push_back(m);
     }
@@ -327,6 +337,42 @@ int Main(int argc, char** argv) {
     blocks.push_back(std::move(block));
     std::cout << "\n";
   }
+
+  // --- fp16 codec: every fp16 crossing of a training step (fp16 tensors,
+  // the updater's parameter mirror). Single-threaded, timed per SIMD path.
+  // Bytes: encode reads 4 and writes 2 per element, decode the reverse.
+  const size_t codec_count = 16 * 1024 * 1024;
+  std::vector<float> codec_floats(codec_count), codec_decoded(codec_count);
+  rng.FillGaussian(&codec_floats, 1.0);
+  std::vector<uint16_t> codec_halves(codec_count);
+  std::vector<Measurement> codec;
+  std::cout << "fp16 codec (1 thread):\n";
+  for (const simd::IsaPath path :
+       {simd::IsaPath::kScalar, simd::IsaPath::kAvx2}) {
+    if (!simd::Supported(path)) continue;
+    simd::ScopedForceIsa force(path);
+    const std::string shape = std::to_string(codec_count) + " elems";
+    const double bytes = 6.0 * double(codec_count);
+    Measurement encode{"fp16_encode", shape, 0.0, bytes,
+                       TimeMs([&] {
+                         simd::FloatsToHalfBits(codec_floats.data(),
+                                                codec_halves.data(),
+                                                codec_count);
+                       }, reps),
+                       1, simd::IsaPathName(path)};
+    Measurement decode{"fp16_decode", shape, 0.0, bytes,
+                       TimeMs([&] {
+                         simd::HalfBitsToFloats(codec_halves.data(),
+                                                codec_decoded.data(),
+                                                codec_count);
+                       }, reps),
+                       1, simd::IsaPathName(path)};
+    for (const Measurement& m : {encode, decode}) {
+      PrintRow(m);
+      codec.push_back(m);
+    }
+  }
+  std::cout << "\n";
 
   // --- JSON. ---
   std::ofstream out(out_path);
@@ -351,6 +397,11 @@ int Main(int argc, char** argv) {
       JsonEntry(out, blocks[bi][i], i + 1 == blocks[bi].size());
     }
     out << "    ]}" << (bi + 1 == blocks.size() ? "" : ",") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"fp16_codec\": [\n";
+  for (size_t i = 0; i < codec.size(); ++i) {
+    JsonEntry(out, codec[i], i + 1 == codec.size());
   }
   out << "  ],\n";
   out << "  \"metrics\": " << bench::MetricsJson() << "\n";

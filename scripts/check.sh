@@ -22,7 +22,7 @@
 #     with ANGELPTM_SIMD forced to each path, proving the env override is
 #     honored end to end and that both code paths match train::reference::
 #     on whatever host this runs on (the avx2-path tests skip themselves on
-#     hosts without AVX2+FMA).
+#     hosts without AVX2+FMA+F16C).
 #
 #   * An SSD pipeline pass (DESIGN.md §12): the pipeline bench runs in
 #     smoke mode, then the mem and engine suites re-run with
@@ -118,9 +118,13 @@ if [ "$MODE" = all ] || [ "$MODE" = --simd ]; then
   # over both paths internally; forcing the env on top proves the
   # env-override plumbing (not just ScopedForceIsa) selects the path.
   ANGELPTM_SIMD=scalar ./build/tests/train_test \
-    --gtest_filter='*KernelGoldenTest*:SimdDispatchTest.*'
+    --gtest_filter='*KernelGoldenTest*:SimdDispatchTest.*:*HalfCodecTest*'
   ANGELPTM_SIMD=avx2 ./build/tests/train_test \
-    --gtest_filter='*KernelGoldenTest*:SimdDispatchTest.*'
+    --gtest_filter='*KernelGoldenTest*:SimdDispatchTest.*:*HalfCodecTest*'
+  # The fp16 codec's full 2^32 encode sweep (~20 s per path at -O2): too
+  # slow for tier-1, so it is a disabled test run only here.
+  ./build/tests/train_test --gtest_also_run_disabled_tests \
+    --gtest_filter='*HalfCodecTest.DISABLED_EncodesEveryFloatBitwise*'
 fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --ssd ]; then

@@ -66,6 +66,11 @@ util::Status Engine::BeginStep() {
   if (layers_.empty()) {
     return util::Status::FailedPrecondition("no layers registered");
   }
+  // Lock-free mode's step-start bound (see LockFreeUpdater): every layer
+  // but the first few the forward pass reads starts with fresh parameters.
+  if (options_.lock_free && updater_->running()) {
+    ANGEL_RETURN_IF_ERROR(updater_->AwaitStepStart());
+  }
   step_active_ = true;
   current_op_ = 0;
   for (auto& layer : layers_) {
@@ -91,9 +96,13 @@ util::Status Engine::StageWorkingTensor(int layer_index) {
         allocator_->Allocate({layer.count}, DType::kFp16,
                              mem::DeviceKind::kCpu));
   }
-  std::vector<float> params;
-  ANGEL_RETURN_IF_ERROR(updater_->FetchParams(layer_index, &params));
-  ANGEL_RETURN_IF_ERROR(layer.tensor->WriteFloats(params));
+  // The published fp16 bits go into the fp16 working tensor as they are:
+  // decoding to fp32 and re-encoding would be an exact round trip.
+  std::vector<uint16_t> bits;
+  ANGEL_RETURN_IF_ERROR(updater_->FetchParamBits(layer_index, &bits));
+  ANGEL_RETURN_IF_ERROR(
+      layer.tensor->CopyIn(reinterpret_cast<const std::byte*>(bits.data()),
+                           bits.size() * sizeof(uint16_t)));
   layer.staged_this_step = true;
   return util::Status::OK();
 }
@@ -110,22 +119,26 @@ util::Status Engine::IssuePrefetch(int layer_index) {
   return util::Status::OK();
 }
 
-void Engine::SettlePendingMoves(WorkingLayer& layer) {
+bool Engine::SettlePendingMoves(WorkingLayer& layer) {
   // Settle in-flight prefetch moves BEFORE inspecting residence: the
   // copy-engine worker writes the page's device, and the future is the only
   // synchronization edge between that write and this read. get() — not
   // wait() — so a failed move's Status is observed: the layer stays
-  // CPU-resident and recovers through the on-demand path at its next use,
-  // so the failure is counted rather than propagated.
+  // CPU-resident and recovers through the on-demand path, so the failure is
+  // counted rather than propagated. Every prefetch future is settled here
+  // and nowhere else, so each failed move is counted exactly once.
+  bool any_failed = false;
   for (auto& future : layer.pending_moves) {
     const util::Status status = future.get();
     if (!status.ok()) {
+      any_failed = true;
       ++prefetch_move_failures_;
       metric_prefetch_move_failures_->Increment();
       ANGEL_LOG(Warning) << "prefetch move failed: " << status.ToString();
     }
   }
   layer.pending_moves.clear();
+  return any_failed;
 }
 
 util::Status Engine::MoveWithEviction(int layer_index) {
@@ -170,7 +183,12 @@ util::Status Engine::IssueReadyPrefetches() {
   if (schedule_ == nullptr) return util::Status::OK();
   for (size_t l = 0; l < layers_.size(); ++l) {
     WorkingLayer& layer = layers_[l];
-    if (layer.staged_this_step || layer.issue_trigger < 0) continue;
+    // A layer past its last use this step was released on purpose;
+    // re-staging it would only fill fast-tier frames until EndStep.
+    if (layer.staged_this_step || layer.issue_trigger < 0 ||
+        layer.uses_this_step >= layer.total_uses) {
+      continue;
+    }
     if (layer.issue_trigger <= current_op_) {
       ANGEL_RETURN_IF_ERROR(IssuePrefetch(static_cast<int>(l)));
     }
@@ -231,12 +249,7 @@ util::Result<std::vector<float>> Engine::UseLayerParams(int layer_index) {
           all_ready = false;
         }
       }
-      bool any_failed = false;
-      for (auto& future : layer.pending_moves) {
-        if (!future.get().ok()) any_failed = true;
-      }
-      layer.pending_moves.clear();
-      if (any_failed) {
+      if (SettlePendingMoves(layer)) {
         // A prefetch lost the race for frames; finish synchronously.
         ANGEL_RETURN_IF_ERROR(MoveWithEviction(layer_index));
         all_ready = false;

@@ -108,10 +108,10 @@ class Engine {
   uint64_t prefetch_waits() const { return prefetch_waits_; }
   /// Post-warmup UseLayerParams calls (the denominator of the hit rate).
   uint64_t scheduled_uses() const { return scheduled_uses_; }
-  /// Asynchronous prefetch moves that resolved with an error while their
-  /// futures were settled off the issuing path (eviction scans, releases).
-  /// Each such layer stays CPU-resident and recovers through the on-demand
-  /// path at its next use, so these are counted, not propagated.
+  /// Asynchronous prefetch moves that resolved with an error, each counted
+  /// once wherever its future is settled (the layer's own use, an eviction
+  /// scan, a release). Each such layer stays CPU-resident and recovers
+  /// through the on-demand path, so these are counted, not propagated.
   uint64_t prefetch_move_failures() const { return prefetch_move_failures_; }
   /// Trace-driven access-order model: trained from the warmup step, then
   /// drives Belady-style eviction in MoveWithEviction (DESIGN.md §12).
@@ -142,8 +142,9 @@ class Engine {
   /// once the planner is trained; registration order during warmup.
   [[nodiscard]] util::Status MoveWithEviction(int layer);
   /// Resolves a layer's in-flight prefetch futures, counting (not
-  /// propagating) failed moves — see prefetch_move_failures().
-  void SettlePendingMoves(WorkingLayer& layer);
+  /// propagating) failed moves — see prefetch_move_failures(). Returns true
+  /// if any of them failed.
+  bool SettlePendingMoves(WorkingLayer& layer);
   /// Issues every scheduled prefetch whose trigger has been reached.
   [[nodiscard]] util::Status IssueReadyPrefetches();
   [[nodiscard]] util::Status ReleaseWorkingTensor(int layer);

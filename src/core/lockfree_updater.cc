@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "obs/trace.h"
+#include "train/simd/half_codec.h"
 #include "util/fault_injector.h"
-#include "util/half.h"
 #include "util/logging.h"
 
 namespace angelptm::core {
@@ -99,12 +100,11 @@ util::Result<int> LockFreeUpdater::AddLayer(
     ANGEL_RETURN_IF_ERROR(layer->slots[s]->WriteFloats(slot_zeros));
   }
   const std::vector<float> zeros(layer->count, 0.0f);
-  ANGEL_RETURN_IF_ERROR(layer->buffered_params->WriteFloats(initial_params));
   ANGEL_RETURN_IF_ERROR(layer->buffered_grads->WriteFloats(zeros));
   layer->param_mirror.Reset(MirrorWords(layer->count));
   {
     util::MutexLock lock(layer->buffer_mutex);
-    PublishParams(*layer, initial_params);
+    ANGEL_RETURN_IF_ERROR(InstallParams(*layer, initial_params));
   }
 
   ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, options_.master_device));
@@ -123,21 +123,33 @@ util::Status LockFreeUpdater::MoveMasters(Layer& layer,
   return allocator_->Move(masters, device);
 }
 
-void LockFreeUpdater::PublishParams(Layer& layer,
-                                    const std::vector<float>& values) {
-  // The mirror stores the exact fp16 bit pattern the buffer tensor stores
-  // (same FloatToHalfBits rounding), so a lockless FetchParams returns
-  // bit-identical floats to the historic ReadFloats path.
-  std::vector<uint32_t> words(MirrorWords(layer.count), 0);
-  for (size_t i = 0; i < layer.count; ++i) {
-    const uint32_t bits = util::FloatToHalfBits(values[i]);
-    words[i / 2] |= bits << (16 * (i % 2));
-  }
+util::Status LockFreeUpdater::InstallParams(
+    Layer& layer, const std::vector<float>& values) {
+  // One encode feeds both copies, so p'16 and the mirror hold the same
+  // bits. The halves are padded to whole mirror words and copied into them
+  // with memcpy (no aliasing cast over the words).
+  std::vector<uint16_t> halves(2 * MirrorWords(layer.count), 0);
+  simd::FloatsToHalfBits(values.data(), halves.data(), layer.count);
+  ANGEL_RETURN_IF_ERROR(layer.buffered_params->CopyIn(
+      reinterpret_cast<const std::byte*>(halves.data()),
+      layer.count * sizeof(uint16_t)));
+  std::vector<uint32_t> words(MirrorWords(layer.count));
+  std::memcpy(words.data(), halves.data(), words.size() * sizeof(uint32_t));
   layer.param_mirror.Write(words.data());
+  return util::Status::OK();
 }
 
 util::Status LockFreeUpdater::FetchParams(int layer_index,
                                           std::vector<float>* out) const {
+  std::vector<uint16_t> bits;
+  ANGEL_RETURN_IF_ERROR(FetchParamBits(layer_index, &bits));
+  out->resize(bits.size());
+  simd::HalfBitsToFloats(bits.data(), out->data(), bits.size());
+  return util::Status::OK();
+}
+
+util::Status LockFreeUpdater::FetchParamBits(
+    int layer_index, std::vector<uint16_t>* out) const {
   if (poisoned_.load(std::memory_order_acquire)) return status();
   if (layer_index < 0 || layer_index >= num_layers()) {
     return util::Status::InvalidArgument("bad layer index");
@@ -149,11 +161,7 @@ util::Status LockFreeUpdater::FetchParams(int layer_index,
   std::vector<uint32_t> words(layer.param_mirror.num_words());
   layer.param_mirror.Read(words.data());
   out->resize(layer.count);
-  for (size_t i = 0; i < layer.count; ++i) {
-    const uint16_t bits =
-        static_cast<uint16_t>(words[i / 2] >> (16 * (i % 2)));
-    (*out)[i] = util::HalfBitsToFloat(bits);
-  }
+  std::memcpy(out->data(), words.data(), layer.count * sizeof(uint16_t));
   return util::Status::OK();
 }
 
@@ -328,8 +336,7 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
       queue_cv_.NotifyOne();
     } else {
       util::MutexLock lock(layer->buffer_mutex);
-      ANGEL_RETURN_IF_ERROR(layer->buffered_params->WriteFloats(p));
-      PublishParams(*layer, p);
+      ANGEL_RETURN_IF_ERROR(InstallParams(*layer, p));
     }
 
     if (on_ssd) {
@@ -433,10 +440,7 @@ void LockFreeUpdater::BufferingThreadLoop() {
         util::MutexLock lock(layer.buffer_mutex);
         status =
             util::FaultInjector::Instance().Check("updater.buffer_install");
-        if (status.ok()) {
-          status = layer.buffered_params->WriteFloats(task.data);
-        }
-        if (status.ok()) PublishParams(layer, task.data);
+        if (status.ok()) status = InstallParams(layer, task.data);
       }
       if (!status.ok()) {
         // A failed install leaves the compute side reading stale (but
@@ -520,6 +524,31 @@ util::Status LockFreeUpdater::DrainUpdates(std::chrono::milliseconds deadline) {
     }
     // No threads to make progress; apply inline.
     ANGEL_RETURN_IF_ERROR(UpdateOnce());
+  }
+}
+
+util::Status LockFreeUpdater::AwaitStepStart(
+    std::chrono::milliseconds deadline) {
+  ANGEL_SPAN("updater", "await_step_start");
+  const auto deadline_at = std::chrono::steady_clock::now() + deadline;
+  util::MutexLock lock(queue_mutex_);
+  for (;;) {
+    if (poisoned_.load(std::memory_order_acquire)) return status();
+    if (!running_.load()) return util::Status::OK();
+    // Applied *and* published, as in DrainUpdates: the layers outside the
+    // bound must start the step with their fresh parameters visible.
+    if (pending_grad_batches() <= kStepStartPendingBatches &&
+        installs_published_ == installs_queued_) {
+      return util::Status::OK();
+    }
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline_at) {
+      return util::Status::DeadlineExceeded(
+          "AwaitStepStart: " + std::to_string(pending_grad_batches()) +
+          " gradient batches still pending after " +
+          std::to_string(deadline.count()) + "ms");
+    }
+    (void)drain_cv_.WaitFor(queue_mutex_, deadline_at - now);
   }
 }
 
@@ -638,8 +667,7 @@ util::Status LockFreeUpdater::ImportLayerState(int layer_index,
   if (on_ssd) ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kSsd));
   // Refresh the compute-side fp16 view and drop stale gradients.
   util::MutexLock lock(layer.buffer_mutex);
-  ANGEL_RETURN_IF_ERROR(layer.buffered_params->WriteFloats(state.params));
-  PublishParams(layer, state.params);
+  ANGEL_RETURN_IF_ERROR(InstallParams(layer, state.params));
   const std::vector<float> zeros(layer.count, 0.0f);
   ANGEL_RETURN_IF_ERROR(layer.buffered_grads->WriteFloats(zeros));
   layer.pending_batches = 0;

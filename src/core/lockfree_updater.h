@@ -56,6 +56,20 @@ namespace angelptm::core {
 /// is far above what a healthy updater accumulates, so it only engages when
 /// the updater is starved (observable via Stats.backpressure_waits).
 ///
+/// Third documented deviation — the step-start bound: the valve caps how
+/// far the compute side may run ahead, not which parameters it reads. The
+/// updating thread walks layers in reverse while the next forward pass
+/// reads them in order, so the layers whose update has not landed when a
+/// forward pass reaches them are the first few — and how many depends on
+/// the speed ratio of the two sides, not on any setting. One-step-stale
+/// reads cost a lot of held-out loss at a fixed step count, so that count
+/// made convergence a function of timing (the same run flipping a layer
+/// between stale and fresh from one run to the next). AwaitStepStart, which
+/// core::Engine::BeginStep calls in lock-free mode, therefore waits while
+/// more than kStepStartPendingBatches batches are still unapplied: every
+/// other layer starts the step with fresh parameters, and only the first
+/// few layers of the forward pass can read stale ones.
+///
 /// The condvar wakeup pairs with a small coalescing window
 /// (Options.updater_coalesce_us): waking on the *first* gradient of a
 /// backward pass would apply it alone and then re-update per layer per
@@ -114,6 +128,13 @@ class LockFreeUpdater {
     uint64_t updater_coalesce_us = 50;
   };
 
+  /// Step-start bound (see the class comment): AwaitStepStart waits while
+  /// more than this many offloaded gradient batches are unapplied. With one
+  /// batch per layer per step these are the layers the forward pass reads
+  /// first; 2 keeps the updating thread busy into the next forward pass
+  /// while at most those two layers can read one-step-stale parameters.
+  static constexpr uint64_t kStepStartPendingBatches = 2;
+
   LockFreeUpdater(Allocator* allocator, const Options& options);
   ~LockFreeUpdater();
 
@@ -138,6 +159,11 @@ class LockFreeUpdater {
   /// with the buffering thread's install.
   [[nodiscard]] util::Status FetchParams(int layer,
                                          std::vector<float>* out) const;
+  /// FetchParams without the decode: the published fp16 bit patterns, one
+  /// per element, for callers that store them as fp16 again (the Engine's
+  /// staging tensor) and so need no fp32 round trip.
+  [[nodiscard]] util::Status FetchParamBits(int layer,
+                                            std::vector<uint16_t>* out) const;
 
   /// Publication version of a layer's buffered parameters (bumps by 2 per
   /// install — the seqlock sequence word). Lockless; lets the compute side
@@ -177,6 +203,15 @@ class LockFreeUpdater {
   /// waits forever: a dead updating thread surfaces as an error within the
   /// deadline.
   [[nodiscard]] util::Status DrainUpdates(
+      std::chrono::milliseconds deadline = std::chrono::milliseconds(60000))
+      ANGEL_EXCLUDES(queue_mutex_);
+
+  /// The step-start bound (see the class comment): blocks until at most
+  /// kStepStartPendingBatches offloaded gradient batches are unapplied and
+  /// every applied update is visible to FetchParams. Returns at once when
+  /// the threads are not running (nothing is in flight then); fails with
+  /// the poison status or, past the deadline, DeadlineExceeded.
+  [[nodiscard]] util::Status AwaitStepStart(
       std::chrono::milliseconds deadline = std::chrono::milliseconds(60000))
       ANGEL_EXCLUDES(queue_mutex_);
 
@@ -255,9 +290,10 @@ class LockFreeUpdater {
     mutable util::Mutex buffer_mutex{"updater.buffer",
                                      util::lockrank::kUpdaterBuffer};
     uint64_t pending_batches ANGEL_GUARDED_BY(buffer_mutex) = 0;
-    /// Lockless read mirror of p'16: the same fp16 bits the buffer holds,
-    /// published via seqlock. Writers (install/import, both under
-    /// buffer_mutex) are serialized; FetchParams reads with no lock.
+    /// Lockless read mirror of p'16: the same fp16 bits the buffer holds
+    /// (two per word, in uint16_t memory order), published via seqlock.
+    /// Writers (InstallParams, under buffer_mutex) are serialized;
+    /// FetchParams reads with no lock.
     util::SeqLockBuffer param_mirror;
     /// Serializes access to the fp32 master states (p32 and the slots,
     /// including their tier moves) between the updating path and concurrent
@@ -288,9 +324,12 @@ class LockFreeUpdater {
   void WakeQueueWaiters() ANGEL_EXCLUDES(queue_mutex_);
   /// Bumps the work epoch and wakes the updating thread.
   void SignalWork() ANGEL_EXCLUDES(work_mutex_);
-  /// Publishes `values` (as fp16 bits) into the layer's seqlock mirror.
-  /// Caller holds layer.buffer_mutex, which serializes mirror writers.
-  static void PublishParams(Layer& layer, const std::vector<float>& values)
+  /// Installs `values` as the layer's fp16 parameters: encodes them once
+  /// (simd::FloatsToHalfBits), stores the bits in p'16 and publishes the
+  /// same bits through the seqlock mirror. Caller holds layer.buffer_mutex,
+  /// which serializes mirror writers.
+  [[nodiscard]] static util::Status InstallParams(
+      Layer& layer, const std::vector<float>& values)
       ANGEL_REQUIRES(layer.buffer_mutex);
   /// Gradient batches offloaded but not yet applied.
   uint64_t pending_grad_batches() const;

@@ -1,7 +1,9 @@
 #include "core/tensor.h"
 
+#include <cstdint>
 #include <cstring>
 
+#include "train/simd/half_codec.h"
 #include "util/half.h"
 #include "util/logging.h"
 
@@ -27,6 +29,18 @@ util::Status ForEachSpan(const Tensor& tensor, Fn&& fn) {
     ANGEL_RETURN_IF_ERROR(
         fn(page->data_ptr() + slot->offset, slot->bytes, tensor_offset));
     tensor_offset += slot->bytes;
+  }
+  return util::Status::OK();
+}
+
+/// A 16-bit tensor's page spans hold whole, aligned elements: slot sizes
+/// and offsets within a page are sums of element sizes. Checked anyway,
+/// since the codec reads the span in place.
+util::Status CheckHalfSpan(const std::byte* span, size_t span_bytes,
+                           size_t offset) {
+  if (span_bytes % sizeof(uint16_t) != 0 || offset % sizeof(uint16_t) != 0 ||
+      reinterpret_cast<uintptr_t>(span) % alignof(uint16_t) != 0) {
+    return util::Status::Internal("16-bit tensor span splits an element");
   }
   return util::Status::OK();
 }
@@ -107,14 +121,25 @@ util::Status Tensor::ReadFloats(std::vector<float>* out) const {
   if (dtype_ == DType::kFp32) {
     return CopyOut(reinterpret_cast<std::byte*>(out->data()), SizeBytes());
   }
-  std::vector<uint16_t> raw(n);
-  ANGEL_RETURN_IF_ERROR(
-      CopyOut(reinterpret_cast<std::byte*>(raw.data()), SizeBytes()));
-  for (size_t i = 0; i < n; ++i) {
-    (*out)[i] = dtype_ == DType::kFp16 ? util::HalfBitsToFloat(raw[i])
-                                       : util::BFloat16BitsToFloat(raw[i]);
-  }
-  return util::Status::OK();
+  // 16-bit dtypes decode straight out of each page span: fp16 through the
+  // bulk codec, bf16 element by element.
+  float* dst = out->data();
+  const DType dtype = dtype_;
+  return ForEachSpan(*this, [dst, dtype](const std::byte* src,
+                                         size_t span_bytes, size_t offset) {
+    ANGEL_RETURN_IF_ERROR(CheckHalfSpan(src, span_bytes, offset));
+    const uint16_t* bits = reinterpret_cast<const uint16_t*>(src);
+    const size_t count = span_bytes / sizeof(uint16_t);
+    float* values = dst + offset / sizeof(uint16_t);
+    if (dtype == DType::kFp16) {
+      simd::HalfBitsToFloats(bits, values, count);
+    } else {
+      for (size_t i = 0; i < count; ++i) {
+        values[i] = util::BFloat16BitsToFloat(bits[i]);
+      }
+    }
+    return util::Status::OK();
+  });
 }
 
 util::Status Tensor::WriteFloats(const std::vector<float>& values) {
@@ -125,12 +150,23 @@ util::Status Tensor::WriteFloats(const std::vector<float>& values) {
     return CopyIn(reinterpret_cast<const std::byte*>(values.data()),
                   SizeBytes());
   }
-  std::vector<uint16_t> raw(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    raw[i] = dtype_ == DType::kFp16 ? util::FloatToHalfBits(values[i])
-                                    : util::FloatToBFloat16Bits(values[i]);
-  }
-  return CopyIn(reinterpret_cast<const std::byte*>(raw.data()), SizeBytes());
+  const float* src = values.data();
+  const DType dtype = dtype_;
+  return ForEachSpan(*this, [src, dtype](std::byte* dst, size_t span_bytes,
+                                         size_t offset) {
+    ANGEL_RETURN_IF_ERROR(CheckHalfSpan(dst, span_bytes, offset));
+    uint16_t* bits = reinterpret_cast<uint16_t*>(dst);
+    const size_t count = span_bytes / sizeof(uint16_t);
+    const float* from = src + offset / sizeof(uint16_t);
+    if (dtype == DType::kFp16) {
+      simd::FloatsToHalfBits(from, bits, count);
+    } else {
+      for (size_t i = 0; i < count; ++i) {
+        bits[i] = util::FloatToBFloat16Bits(from[i]);
+      }
+    }
+    return util::Status::OK();
+  });
 }
 
 }  // namespace angelptm::core

@@ -148,16 +148,21 @@ util::Result<Page*> ReadAheadExecutor::Acquire(uint64_t key) {
     }
   }
 
-  TopUp();
+  // The page just acquired is the caller's until the next Acquire, but the
+  // planner has moved past it: in a sawtooth order it is the farthest next
+  // use, the natural Belady victim. Protect it from this top-up's
+  // write-backs.
+  TopUp(key);
   return entry.page;
 }
 
-void ReadAheadExecutor::TopUp() {
+void ReadAheadExecutor::TopUp(std::optional<uint64_t> acquired) {
   if (!planner_->trained()) return;
   const std::vector<uint64_t> lookahead =
       planner_->LookaheadKeys(options_.window);
-  const std::unordered_set<uint64_t> protected_keys(lookahead.begin(),
-                                                    lookahead.end());
+  std::unordered_set<uint64_t> protected_keys(lookahead.begin(),
+                                              lookahead.end());
+  if (acquired.has_value()) protected_keys.insert(*acquired);
   size_t occupied = OccupiedCount();
   for (const uint64_t key : lookahead) {
     const auto it = entries_.find(key);

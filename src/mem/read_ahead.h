@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -85,7 +86,9 @@ class ReadAheadExecutor {
 
   /// Blocks until `key`'s page is resident on the fetch tier, then issues
   /// read-ahead for the upcoming window. Returns the page, or the error that
-  /// both the async move and the sync fallback died with.
+  /// both the async move and the sync fallback died with. The page stays
+  /// resident until the next Acquire or BeginStep: this call's read-ahead
+  /// never picks it as an eviction victim.
   [[nodiscard]] util::Result<Page*> Acquire(uint64_t key);
 
   /// Settles every in-flight move (prefetches and evictions). Call before
@@ -109,8 +112,9 @@ class ReadAheadExecutor {
   /// Harvests completed futures; with `block`, waits for them all.
   void SettleMoves(bool block);
   /// Issues prefetches for the planner's lookahead window, evicting
-  /// farthest-next-use residents as needed within the frame budget.
-  void TopUp();
+  /// farthest-next-use residents as needed within the frame budget. Neither
+  /// the window nor `acquired` (the page Acquire is returning) is evicted.
+  void TopUp(std::optional<uint64_t> acquired = std::nullopt);
   /// Synchronous eviction of the best victim outside `protect`; used by the
   /// on-demand path when the budget is exhausted.
   [[nodiscard]] util::Status EvictOneSync(uint64_t protect);

@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 
@@ -68,7 +69,8 @@ uint64_t HistogramData::Percentile(double p) const {
   uint64_t seen = 0;
   for (size_t i = 0; i < kNumHistogramBuckets; ++i) {
     seen += buckets[i];
-    if (seen >= target) return HistogramBucketUpperBound(i);
+    // The bucket bound overestimates by up to 2x; no sample exceeds max.
+    if (seen >= target) return std::min(HistogramBucketUpperBound(i), max);
   }
   return max;
 }

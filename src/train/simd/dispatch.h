@@ -5,8 +5,9 @@ namespace angelptm::simd {
 
 /// Instruction-set paths the compute kernels can run on. `kScalar` is the
 /// portable cache-blocked C++ path that exists on every platform; `kAvx2`
-/// is the packed AVX2/FMA micro-kernel path (x86-64 only, compiled in a
-/// single translation unit with -mavx2 -mfma).
+/// is the packed AVX2/FMA micro-kernel path plus the F16C fp16 codec
+/// (x86-64 only, compiled in a single translation unit with -mavx2 -mfma
+/// -mf16c).
 enum class IsaPath { kScalar, kAvx2 };
 
 /// The path the kernels dispatch to. Resolution order (first match wins):
@@ -14,8 +15,9 @@ enum class IsaPath { kScalar, kAvx2 };
 ///   1. A test/bench override installed via ScopedForceIsa.
 ///   2. The ANGELPTM_SIMD environment variable ("scalar" or "avx2"), read
 ///      once at first use. Requesting "avx2" on a host or build without
-///      AVX2+FMA logs a warning and falls back to scalar — it never traps.
-///   3. Runtime CPUID: AVX2+FMA present (and the AVX2 TU compiled in)
+///      AVX2+FMA+F16C logs a warning and falls back to scalar — it never
+///      traps.
+///   3. Runtime CPUID: AVX2+FMA+F16C present (and the AVX2 TU compiled in)
 ///      selects kAvx2, everything else selects kScalar.
 ///
 /// The result of steps 2–3 is computed once and cached, so the dispatch

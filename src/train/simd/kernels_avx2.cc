@@ -1,19 +1,22 @@
 #include "train/simd/kernels_avx2.h"
 
-// The only translation unit built with -mavx2 -mfma (scoped in
+// The only translation unit built with -mavx2 -mfma -mf16c (scoped in
 // src/CMakeLists.txt) and the only place <immintrin.h> may be included
 // (enforced by scripts/lint.py rule `simd-include`). Everything here is a
 // leaf function: no STL containers, no inline helpers from shared headers,
 // so AVX2 codegen cannot escape into TUs that must stay runnable on
-// pre-AVX2 hosts.
+// pre-AVX2 hosts. (util/half.h is included only for its two out-of-line
+// scalar codec functions, which the fp16 codec calls for NaN/Inf lanes.)
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__) && defined(__FMA__) && defined(__F16C__)
 
 #include <immintrin.h>
 
 #include <cfloat>
 #include <cmath>
 #include <cstring>
+
+#include "util/half.h"
 
 namespace angelptm::simd::avx2 {
 namespace {
@@ -572,9 +575,61 @@ void AdamUpdateBlock(float* params, float* m, float* v, const float* grads,
   for (; i < end; ++i) scalar_lane(i);
 }
 
+void FloatsToHalfBits(const float* src, uint16_t* dst, size_t n) {
+  // vcvtps2ph with an explicit round-to-nearest-even immediate (MXCSR is
+  // not consulted) agrees with util::FloatToHalfBits on every finite input,
+  // overflow to Inf and subnormal results included. It keeps NaN payload
+  // bits the scalar reference drops, so lanes with an all-ones exponent
+  // (NaN and Inf) are redone by the reference.
+  const __m256i exp_mask = _mm256_set1_epi32(0x7F800000);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(src + i);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT |
+                                            _MM_FROUND_NO_EXC));
+    const __m256i exponent =
+        _mm256_and_si256(_mm256_castps_si256(v), exp_mask);
+    const int special = _mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(exponent, exp_mask)));
+    if (special != 0) {
+      for (size_t k = 0; k < 8; ++k) {
+        if ((special >> k) & 1) {
+          dst[i + k] = util::FloatToHalfBits(src[i + k]);
+        }
+      }
+    }
+  }
+  for (; i < n; ++i) dst[i] = util::FloatToHalfBits(src[i]);
+}
+
+void HalfBitsToFloats(const uint16_t* src, float* dst, size_t n) {
+  // vcvtph2ps is exact for every finite half, subnormals included, but
+  // quiets signalling NaNs the scalar reference passes through unchanged;
+  // lanes with an all-ones exponent (NaN and Inf) are redone by the
+  // reference.
+  const __m128i exp_mask = _mm_set1_epi16(0x7C00);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i h =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+    _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
+    const int special = _mm_movemask_epi8(
+        _mm_cmpeq_epi16(_mm_and_si128(h, exp_mask), exp_mask));
+    if (special != 0) {
+      for (size_t k = 0; k < 8; ++k) {
+        if ((special >> (2 * k)) & 1) {
+          dst[i + k] = util::HalfBitsToFloat(src[i + k]);
+        }
+      }
+    }
+  }
+  for (; i < n; ++i) dst[i] = util::HalfBitsToFloat(src[i]);
+}
+
 }  // namespace angelptm::simd::avx2
 
-#else  // !(__AVX2__ && __FMA__)
+#else  // !(__AVX2__ && __FMA__ && __F16C__)
 
 #include <cstdio>
 #include <cstdlib>
@@ -636,7 +691,13 @@ void AdamUpdateBlock(float*, float*, float*, const float*, size_t, size_t,
                      float, float, float, float, float, float, float) {
   Unavailable("AdamUpdateBlock");
 }
+void FloatsToHalfBits(const float*, uint16_t*, size_t) {
+  Unavailable("FloatsToHalfBits");
+}
+void HalfBitsToFloats(const uint16_t*, float*, size_t) {
+  Unavailable("HalfBitsToFloats");
+}
 
 }  // namespace angelptm::simd::avx2
 
-#endif  // __AVX2__ && __FMA__
+#endif  // __AVX2__ && __FMA__ && __F16C__

@@ -2,15 +2,16 @@
 #define ANGELPTM_TRAIN_SIMD_KERNELS_AVX2_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace angelptm::simd::avx2 {
 
-/// AVX2/FMA leaf kernels. This header is plain C++ and can be included
-/// anywhere; only kernels_avx2.cc is compiled with -mavx2 -mfma, and it
-/// deliberately contains *leaf* block functions with C-like signatures —
-/// no STL, no shared inline helpers — so no AVX2 code can leak into other
-/// translation units through inline-function comdat folding. Callers must
-/// route through simd::Dispatch(): invoking any of these when
+/// AVX2/FMA/F16C leaf kernels. This header is plain C++ and can be
+/// included anywhere; only kernels_avx2.cc is compiled with -mavx2 -mfma
+/// -mf16c, and it deliberately contains *leaf* block functions with C-like
+/// signatures — no STL, no shared inline helpers — so no AVX2 code can leak
+/// into other translation units through inline-function comdat folding.
+/// Callers must route through simd::Dispatch(): invoking any of these when
 /// `Supported(IsaPath::kAvx2)` is false is a programming error (the stubs
 /// abort).
 ///
@@ -20,8 +21,8 @@ namespace angelptm::simd::avx2 {
 /// layout.
 
 /// True when this binary contains the real AVX2 implementations (x86-64
-/// build with a compiler that accepted -mavx2 -mfma), false when the TU
-/// compiled as stubs.
+/// build with a compiler that accepted -mavx2 -mfma -mf16c), false when the
+/// TU compiled as stubs.
 bool Compiled();
 
 /// Micro-tile geometry: each micro-kernel invocation computes a
@@ -102,6 +103,13 @@ void AdamUpdateBlock(float* params, float* m, float* v, const float* grads,
                      size_t begin, size_t end, float lr, float beta1,
                      float beta2, float epsilon, float weight_decay,
                      float inv_bc1, float inv_bc2);
+
+/// F16C halves of the bulk fp16 codec (simd/half_codec.h): dst[i] =
+/// util::FloatToHalfBits(src[i]) / util::HalfBitsToFloat(src[i]), bit for
+/// bit, for every input. Lanes with an all-ones exponent (NaN, Inf) and the
+/// <8-element tail go through those scalar functions.
+void FloatsToHalfBits(const float* src, uint16_t* dst, size_t n);
+void HalfBitsToFloats(const uint16_t* src, float* dst, size_t n);
 
 }  // namespace angelptm::simd::avx2
 

@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,9 +30,11 @@ EngineOptions SmallEngineOptions(uint64_t gpu_pages = 6) {
   return options;
 }
 
-/// Runs `steps` full training steps of a small MLP through the engine.
+/// Runs `steps` full training steps of a small MLP through the engine;
+/// `after_begin`, when set, runs right after each BeginStep.
 double TrainThroughEngine(Engine* engine, const train::MlpModel& model,
-                          int steps, util::Rng* rng) {
+                          int steps, util::Rng* rng,
+                          const std::function<void()>& after_begin = {}) {
   train::SyntheticRegression dataset(16, 32, 4, 99);
   const size_t batch = 16;
   std::vector<float> x, y;
@@ -38,6 +42,7 @@ double TrainThroughEngine(Engine* engine, const train::MlpModel& model,
   for (int step = 0; step < steps; ++step) {
     dataset.GenBatch(rng, batch, &x, &y);
     EXPECT_TRUE(engine->BeginStep().ok());
+    if (after_begin) after_begin();
     std::vector<train::LayerStash> stash(model.num_layers());
     std::vector<float> acts = x;
     for (int l = 0; l < model.num_layers(); ++l) {
@@ -114,6 +119,35 @@ TEST(EngineTest, PrefetchesHitAfterWarmup) {
   EXPECT_GT((*engine)->prefetch_hits(), (*engine)->prefetch_waits());
 }
 
+TEST(EngineTest, SteadyStateStepStagesEachLayerOnce) {
+  // A layer released at its last use is done for the step: staging it again
+  // (a fresh fp16 tensor, FetchParams, CPU->GPU moves that EndStep frees
+  // unused) only takes fast-tier frames. With room for every layer, each
+  // steady-state step moves each layer's pages up exactly once.
+  auto engine = Engine::Create(SmallEngineOptions(/*gpu_pages=*/32));
+  ASSERT_TRUE(engine.ok());
+  train::MlpModel model({{16, 64, 64, 4}});
+  util::Rng rng(17);
+  const uint64_t page_bytes = (*engine)->memory()->page_bytes();
+  uint64_t pages_per_step = 0;
+  for (int l = 0; l < model.num_layers(); ++l) {
+    const std::vector<float> params = model.InitLayerParams(l, &rng);
+    pages_per_step += (2 * params.size() + page_bytes - 1) / page_bytes;
+    ASSERT_TRUE((*engine)->RegisterLayer(params).ok());
+  }
+  TrainThroughEngine(engine->get(), model, 2, &rng);  // Warmup + one step.
+  const auto moves_up = [&] {
+    return (*engine)
+        ->memory()
+        ->move_stats(mem::DeviceKind::kCpu, mem::DeviceKind::kGpu)
+        .moves;
+  };
+  const uint64_t before = moves_up();
+  const int steps = 4;
+  TrainThroughEngine(engine->get(), model, steps, &rng);
+  EXPECT_EQ(moves_up() - before, steps * pages_per_step);
+}
+
 TEST(EngineTest, GpuTierReturnsToEmptyBetweenSteps) {
   auto engine = Engine::Create(SmallEngineOptions());
   ASSERT_TRUE(engine.ok());
@@ -142,6 +176,43 @@ TEST(EngineTest, LockFreeModeTrains) {
   ASSERT_TRUE((*engine)->updater()->DrainUpdates().ok());
   EXPECT_LT(final_loss, 1.0);
   EXPECT_GT((*engine)->updater()->Snapshot().updates_applied, 0u);
+}
+
+TEST(EngineTest, LockFreeStepStartsWithBoundedBacklog) {
+  // Masters on a slow SSD make the updating thread the bottleneck, so each
+  // backward pass leaves more batches pending than the step-start bound;
+  // BeginStep must wait until only that many remain.
+  EngineOptions options = SmallEngineOptions();
+  options.lock_free = true;
+  options.memory.ssd_capacity_bytes = 16ull << 20;
+  options.memory.ssd_bandwidth_bytes_per_sec = 8e6;
+  options.memory.ssd_path =
+      "/tmp/angelptm_engine_lf_ssd_" + std::to_string(::getpid()) + ".bin";
+  options.master_device = mem::DeviceKind::kSsd;
+  auto engine = Engine::Create(options);
+  ASSERT_TRUE(engine.ok());
+  train::MlpModel model({{16, 64, 64, 64, 64, 4}});
+  util::Rng rng(31);
+  for (int l = 0; l < model.num_layers(); ++l) {
+    ASSERT_TRUE(
+        (*engine)->RegisterLayer(model.InitLayerParams(l, &rng)).ok());
+  }
+  LockFreeUpdater* updater = (*engine)->updater();
+  uint64_t max_pending_at_end = 0;
+  int steps_checked = 0;
+  for (int step = 0; step < 4; ++step) {
+    TrainThroughEngine(engine->get(), model, 1, &rng, [&] {
+      EXPECT_LE(updater->Snapshot().pending_grad_batches,
+                LockFreeUpdater::kStepStartPendingBatches)
+          << "step " << step;
+      ++steps_checked;
+    });
+    max_pending_at_end =
+        std::max(max_pending_at_end, updater->Snapshot().pending_grad_batches);
+  }
+  EXPECT_EQ(steps_checked, 4);
+  EXPECT_GT(max_pending_at_end, LockFreeUpdater::kStepStartPendingBatches);
+  ASSERT_TRUE(updater->DrainUpdates().ok());
 }
 
 TEST(EngineTest, TransformerTrainsThroughEngine) {

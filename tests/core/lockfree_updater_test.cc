@@ -293,6 +293,52 @@ TEST_F(LockFreeUpdaterTest, DrainReturnsOnlyAfterInstallsArePublished) {
   updater.Stop();
 }
 
+TEST_F(LockFreeUpdaterTest, StepStartBoundLeavesOnlyFirstLayersPending) {
+  // One batch per layer, offloaded before the threads start, as at the end
+  // of a backward pass. The updating thread walks the layers in reverse, so
+  // once AwaitStepStart returns at most the bound's worth of batches is
+  // pending — on the first layers — and every other layer already serves
+  // its updated parameters.
+  LockFreeUpdater updater(&allocator_, UpdaterOptions(mem::DeviceKind::kSsd));
+  const int layers = 6;
+  const int bound = int(LockFreeUpdater::kStepStartPendingBatches);
+  const size_t count = 1024;
+  for (int l = 0; l < layers; ++l) {
+    ASSERT_TRUE(updater.AddLayer(std::vector<float>(count, 0.5f)).ok());
+  }
+  for (int l = 0; l < layers; ++l) {
+    ASSERT_TRUE(updater.OffloadGrads(l, std::vector<float>(count, 1.0f)).ok());
+  }
+  updater.Start();
+  ASSERT_TRUE(updater.AwaitStepStart().ok());
+  EXPECT_LE(updater.Snapshot().pending_grad_batches, uint64_t(bound));
+  std::vector<float> fetched, master;
+  for (int l = bound; l < layers; ++l) {
+    ASSERT_TRUE(updater.FetchParams(l, &fetched).ok());
+    ASSERT_TRUE(updater.ReadMasterParams(l, &master).ok());
+    EXPECT_NE(master[0], 0.5f) << "layer " << l << " not updated";
+    for (float& value : master) {
+      value = util::HalfBitsToFloat(util::FloatToHalfBits(value));
+    }
+    ExpectSameBits(master, fetched, "layer " + std::to_string(l));
+  }
+  ASSERT_TRUE(updater.DrainUpdates().ok());
+  updater.Stop();
+}
+
+TEST_F(LockFreeUpdaterTest, StepStartBoundReturnsAtOnceWhenStopped) {
+  // A stopped updater has nothing in flight to wait for: the wait returns
+  // at once with more batches pending than the bound.
+  LockFreeUpdater updater(&allocator_, UpdaterOptions());
+  const int layers = int(LockFreeUpdater::kStepStartPendingBatches) + 1;
+  for (int l = 0; l < layers; ++l) {
+    ASSERT_TRUE(updater.AddLayer({1.0f, 2.0f}).ok());
+    ASSERT_TRUE(updater.OffloadGrads(l, {0.1f, 0.1f}).ok());
+  }
+  ASSERT_TRUE(updater.AwaitStepStart(std::chrono::milliseconds(0)).ok());
+  EXPECT_EQ(updater.Snapshot().pending_grad_batches, uint64_t(layers));
+}
+
 /// The synchronous-training contract: an updater driven on its threads and
 /// released by the DrainUpdates barrier after every step must be bitwise
 /// identical to one applying the same gradients inline with UpdateOnce —
@@ -480,6 +526,25 @@ TEST_F(LockFreeUpdaterFaultTest, PoisonReleasesValveBlockedOffload) {
     second = updater.OffloadGrads(0, {0.1f, 0.1f});
   }
   EXPECT_TRUE(second.IsIoError()) << second;
+  updater.Stop();
+}
+
+TEST_F(LockFreeUpdaterFaultTest, PoisonReleasesStepStartWaiter) {
+  // A dead updating thread must not wedge BeginStep either: with every
+  // master write-back failing, the step-start wait ends with the poison.
+  LockFreeUpdater updater(&allocator_, UpdaterOptions(mem::DeviceKind::kSsd));
+  const int layers = int(LockFreeUpdater::kStepStartPendingBatches) + 2;
+  for (int l = 0; l < layers; ++l) {
+    ASSERT_TRUE(updater.AddLayer(std::vector<float>(8, 1.0f)).ok());
+  }
+  updater.Start();
+  ArmPermanent("ssd.pwrite");
+  for (int l = 0; l < layers; ++l) {
+    ASSERT_TRUE(updater.OffloadGrads(l, std::vector<float>(8, 0.5f)).ok());
+  }
+  const util::Status started =
+      updater.AwaitStepStart(std::chrono::milliseconds(30000));
+  EXPECT_TRUE(started.IsIoError()) << started;
   updater.Stop();
 }
 

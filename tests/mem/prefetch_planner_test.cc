@@ -270,6 +270,50 @@ TEST_F(ReadAheadTest, WorkingSetLargerThanFetchTierStillRoundTrips) {
   EXPECT_GT(memory.ssd()->Snapshot().queued_requests, 0u);
 }
 
+TEST_F(ReadAheadTest, AcquiredPageIsNeverItsOwnTopUpVictim) {
+  // Sawtooth 0 1 2 3 3 2 1 0 under a binding frame budget (3 pages for a
+  // 3-key window). Right after the turn, the key just acquired (3) is next
+  // used at the following step's turn: the farthest next use of every
+  // resident, so Acquire's own read-ahead picks it as the Belady victim
+  // unless it is protected (the same happens to key 0 at each step start).
+  // Draining after every Acquire lands any such write-back
+  // deterministically, before the caller would touch the page.
+  HierarchicalMemory memory(MemoryOptions("acquired", kPages + 4));
+  CopyEngine engine(&memory, 2);
+  PrefetchPlanner planner;
+  ReadAheadExecutor::Options options;
+  options.window = 3;
+  options.max_resident = 3;
+  ReadAheadExecutor executor(&memory, &engine, &planner, options);
+
+  const std::vector<Page*> pages = MakeSsdWorkingSet(&memory);
+  const uint64_t keys = 4;
+  for (uint64_t i = 0; i < keys; ++i) executor.Bind(i, pages[i]);
+  const std::vector<uint64_t> order = SawtoothOrder(keys);
+  // Train on the order directly, so every page starts on the SSD tier.
+  for (const uint64_t key : order) planner.RecordAccess(key);
+  planner.FinishWarmup();
+
+  for (int step = 0; step < 3; ++step) {
+    executor.BeginStep();
+    ASSERT_TRUE(executor.Drain().ok());
+    for (size_t position = 0; position < order.size(); ++position) {
+      const uint64_t key = order[position];
+      auto page = executor.Acquire(key);
+      ASSERT_TRUE(page.ok());
+      ASSERT_TRUE(executor.Drain().ok());
+      EXPECT_EQ((*page)->device(), DeviceKind::kCpu)
+          << "step " << step << " position " << position << " key " << key;
+      if ((*page)->device() == DeviceKind::kCpu) {
+        EXPECT_EQ((*page)->data_ptr()[0], std::byte(key + 1));
+      }
+    }
+  }
+  // The budget did bind: read-ahead had to write pages back.
+  EXPECT_GT(executor.Snapshot().evictions, 0u);
+  EXPECT_EQ(executor.Snapshot().failed_moves, 0u);
+}
+
 TEST_F(ReadAheadTest, AcquireOfUnboundKeyFails) {
   HierarchicalMemory memory(MemoryOptions("unbound", 4));
   CopyEngine engine(&memory, 1);

@@ -97,6 +97,27 @@ TEST(HistogramBucketTest, ExponentialBoundaries) {
   EXPECT_EQ(HistogramBucketUpperBound(5), 31u);
 }
 
+TEST(HistogramDataTest, QuantilesAreOrderedAndNeverExceedMax) {
+  // The staleness shape that used to print p95 = 15 with max = 8: every
+  // sample in the [8, 16) bucket, whose upper bound is 15.
+  HistogramData h;
+  for (int i = 0; i < 20; ++i) h.Record(8);
+  EXPECT_EQ(h.Percentile(0.5), 8u);
+  EXPECT_EQ(h.Percentile(0.95), 8u);
+  // Mixed magnitudes: quantiles stay ordered and bounded by max.
+  HistogramData mixed;
+  for (uint64_t v : {1u, 3u, 5u, 9u, 17u, 33u, 65u, 100u, 100u, 130u}) {
+    mixed.Record(v);
+  }
+  const uint64_t p50 = mixed.Percentile(0.5);
+  const uint64_t p95 = mixed.Percentile(0.95);
+  EXPECT_LE(p50, p95);
+  EXPECT_LE(p95, mixed.max);
+  EXPECT_EQ(mixed.Percentile(1.0), 130u);
+  EXPECT_NE(mixed.Summary().find("p95=130 max=130"), std::string::npos)
+      << mixed.Summary();
+}
+
 TEST(HistogramDataTest, RecordMergeAndStats) {
   HistogramData h;
   h.Record(0);
@@ -112,10 +133,11 @@ TEST(HistogramDataTest, RecordMergeAndStats) {
   EXPECT_EQ(h.buckets[3], 1u);  // value 5 in [4, 8)
   EXPECT_EQ(h.buckets[7], 1u);  // value 100 in [64, 128)
 
-  // Percentiles report the inclusive upper bound of the holding bucket.
+  // Percentiles report the inclusive upper bound of the holding bucket,
+  // clamped to the largest recorded value.
   EXPECT_EQ(h.Percentile(0.25), 0u);
   EXPECT_EQ(h.Percentile(0.5), 1u);
-  EXPECT_EQ(h.Percentile(1.0), 127u);
+  EXPECT_EQ(h.Percentile(1.0), 100u);
 
   HistogramData other;
   other.Record(200);

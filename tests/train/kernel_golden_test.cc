@@ -16,7 +16,7 @@ namespace angelptm::train {
 namespace {
 
 /// Runs every kernel against train::reference:: under BOTH dispatch paths
-/// (the AVX2 leg skips itself on hosts/builds without AVX2+FMA). The
+/// (the AVX2 leg skips itself on hosts/builds without AVX2+FMA+F16C). The
 /// scalar path shares per-element accumulation order with the reference,
 /// so most checks are bitwise there; the vectorized path reassociates
 /// sums and uses a polynomial exp, so it gets explicit tolerances. Also
@@ -327,7 +327,7 @@ TEST_P(KernelGoldenTest, AdamUpdateBitwiseStableAcrossThreadCounts) {
 /// double-precision path — but only by float rounding, not by drift.
 TEST(KernelCrossPathTest, AdamScalarAndAvx2Agree) {
   if (!simd::Supported(simd::IsaPath::kAvx2)) {
-    GTEST_SKIP() << "AVX2+FMA unavailable on this host/build";
+    GTEST_SKIP() << "AVX2+FMA+F16C unavailable on this host/build";
   }
   util::Rng rng(20);
   core::AdamConfig config;
