@@ -9,17 +9,15 @@
 #include <string>
 
 #include "train/mlp.h"
-#include "train/trainer.h"
+#include "train/engine_trainer.h"
 
 namespace {
 
 using namespace angelptm;
 
 struct Harness {
-  std::unique_ptr<mem::HierarchicalMemory> memory;
-  std::unique_ptr<core::Allocator> allocator;
   std::unique_ptr<train::MlpModel> model;
-  std::unique_ptr<train::Trainer> trainer;
+  std::unique_ptr<train::EngineTrainer> trainer;
   train::SyntheticRegression dataset{16, 32, 4, 99};
 };
 
@@ -28,7 +26,8 @@ std::unique_ptr<Harness> MakeHarness(bool lock_free,
                                      double ssd_throttle,
                                      const std::string& tag) {
   auto harness = std::make_unique<Harness>();
-  mem::HierarchicalMemoryOptions memory_options;
+  train::EngineTrainerOptions options;
+  mem::HierarchicalMemoryOptions& memory_options = options.engine.memory;
   memory_options.page_bytes = 64 * 1024;
   memory_options.gpu_capacity_bytes = 8ull << 20;
   memory_options.cpu_capacity_bytes = 64ull << 20;
@@ -36,21 +35,17 @@ std::unique_ptr<Harness> MakeHarness(bool lock_free,
   memory_options.ssd_path = "/tmp/angelptm_bench_lf_" + tag + "_" +
                             std::to_string(::getpid()) + ".bin";
   memory_options.ssd_bandwidth_bytes_per_sec = ssd_throttle;
-  harness->memory =
-      std::make_unique<mem::HierarchicalMemory>(memory_options);
-  harness->allocator =
-      std::make_unique<core::Allocator>(harness->memory.get());
 
   harness->model =
       std::make_unique<train::MlpModel>(train::MlpConfig{{16, 64, 64, 4}});
-  train::TrainerOptions options;
-  options.adam.learning_rate = 3e-3;
+  options.engine.optimizer.learning_rate = 3e-3;
+  options.engine.lock_free = lock_free;
+  options.engine.master_device = master_device;
   options.batch_size = 32;
-  options.lock_free = lock_free;
-  options.master_device = master_device;
   options.seed = 7;
-  harness->trainer = std::make_unique<train::Trainer>(
-      harness->allocator.get(), harness->model.get(), options);
+  options.offload_activations = false;
+  harness->trainer = std::make_unique<train::EngineTrainer>(
+      harness->model.get(), options);
   ANGEL_CHECK_OK(harness->trainer->Init());
   return harness;
 }

@@ -36,7 +36,7 @@ int main() {
     options.stage = stage;
     options.world_size = 4;
     options.batch_per_rank = 8;
-    options.adam.learning_rate = 3e-3;
+    options.optimizer.learning_rate = 3e-3;
     options.seed = 11;
     dist::ShardedDataParallel dp(&allocator, &model, options);
     ANGEL_CHECK_OK(dp.Init());

@@ -7,7 +7,7 @@
 
 #include "obs/metrics.h"
 #include "sim/hardware.h"
-#include "train/trainer.h"
+#include "train/engine_trainer.h"
 #include "util/histogram.h"
 
 namespace angelptm::bench {
@@ -41,8 +41,8 @@ inline std::string HistogramJson(const util::Histogram& h) {
 }
 
 /// JSON for a TrainReport's nested telemetry snapshot: phase timing
-/// histograms, updater counters + staleness, per-tier memory usage, and the
-/// SSD / copy-engine stats when those subsystems were active.
+/// histograms, updater counters + staleness, per-tier memory usage, the
+/// copy-engine stats, and the SSD stats when the run had an SSD tier.
 inline std::string TelemetryJson(const train::TelemetrySnapshot& t) {
   std::ostringstream out;
   out << "{\"fwd_us\":" << t.fwd_us.ToJson()
@@ -71,12 +71,9 @@ inline std::string TelemetryJson(const train::TelemetrySnapshot& t) {
         << ",\"bytes_written\":" << t.ssd.bytes_written
         << ",\"io_retries\":" << t.ssd.io_retries << "}";
   }
-  if (t.has_copy_engine) {
-    out << ",\"copy\":{\"moves_completed\":" << t.copy.moves_completed
-        << ",\"moves_failed\":" << t.copy.moves_failed
-        << ",\"queue_depth\":" << t.copy.queue_depth << "}";
-  }
-  out << "}";
+  out << ",\"copy\":{\"moves_completed\":" << t.copy.moves_completed
+      << ",\"moves_failed\":" << t.copy.moves_failed
+      << ",\"queue_depth\":" << t.copy.queue_depth << "}}";
   return out.str();
 }
 

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "train/mlp.h"
-#include "train/trainer.h"
+#include "train/engine_trainer.h"
 #include "util/units.h"
 
 int main() {
@@ -20,7 +20,8 @@ int main() {
 
   train::SyntheticRegression dataset(32, 64, 8, 99);
   for (const bool lock_free : {false, true}) {
-    mem::HierarchicalMemoryOptions memory_options;
+    train::EngineTrainerOptions options;
+    mem::HierarchicalMemoryOptions& memory_options = options.engine.memory;
     memory_options.page_bytes = 64 * 1024;
     memory_options.gpu_capacity_bytes = 8ull << 20;
     memory_options.cpu_capacity_bytes = 64ull << 20;
@@ -31,17 +32,15 @@ int main() {
     // Emulate the paper's SSD bottleneck (3.5 GB/s vs terabytes of states)
     // at this model's scale.
     memory_options.ssd_bandwidth_bytes_per_sec = 200e6;
-    mem::HierarchicalMemory memory(memory_options);
-    core::Allocator allocator(&memory);
 
     const train::MlpModel model({{32, 256, 256, 8}});
-    train::TrainerOptions options;
-    options.adam.learning_rate = 3e-3;
+    options.engine.optimizer.learning_rate = 3e-3;
+    options.engine.master_device = mem::DeviceKind::kSsd;
+    options.engine.lock_free = lock_free;
     options.batch_size = 64;
-    options.master_device = mem::DeviceKind::kSsd;
-    options.lock_free = lock_free;
     options.seed = 7;
-    train::Trainer trainer(&allocator, &model, options);
+    options.offload_activations = false;
+    train::EngineTrainer trainer(&model, options);
     ANGEL_CHECK_OK(trainer.Init());
 
     std::printf("=== %s ===\n",
@@ -56,8 +55,8 @@ int main() {
                 report->losses.front(), report->final_train_loss,
                 report->validation_loss);
     const train::TelemetrySnapshot& telemetry = report->telemetry;
-    std::printf("  optimizer: %llu updates applied, peak staleness %llu "
-                "gradient batches\n",
+    std::printf("  optimizer: %llu updates applied, peak %llu gradient "
+                "batches pending after a step\n",
                 (unsigned long long)telemetry.updater.updates_applied,
                 (unsigned long long)telemetry.max_pending_batches);
     std::printf("  staleness distribution: %s\n",
@@ -66,9 +65,12 @@ int main() {
                 util::FormatBytes(telemetry.ssd.bytes_read).c_str(),
                 util::FormatBytes(telemetry.ssd.bytes_written).c_str());
   }
-  std::printf("The lock-free run's compute never blocks on the SSD: the\n"
-              "updating thread lags a few batches behind (bounded staleness)\n"
-              "and the model converges to the same quality — the Table 6\n"
-              "result, on real threads and a real file.\n");
+  std::printf("The lock-free run overlaps the SSD-bound optimizer with\n"
+              "compute: a step starts once at most %llu gradient batches are\n"
+              "unapplied (bounded staleness), and the model converges close\n"
+              "to the synchronous loss — the Table 6 result, on real threads\n"
+              "and a real file.\n",
+              (unsigned long long)
+                  core::LockFreeUpdater::kStepStartPendingBatches);
   return 0;
 }

@@ -29,7 +29,7 @@ std::unique_ptr<core::Engine> MakeEngine(const train::TinyTransformer& model,
   options.memory.page_bytes = 16 * 1024;
   options.memory.gpu_capacity_bytes = 512 * 1024;
   options.memory.cpu_capacity_bytes = 64ull << 20;
-  options.adam.learning_rate = 1e-3;
+  options.optimizer.learning_rate = 1e-3;
   auto engine = core::Engine::Create(options);
   ANGEL_CHECK_OK(engine.status());
   for (int l = 0; l < model.num_layers(); ++l) {

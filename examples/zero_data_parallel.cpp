@@ -32,7 +32,7 @@ int main() {
     dist::ShardedDpOptions options;
     options.world_size = world;
     options.batch_per_rank = 32 / world;  // Constant global batch.
-    options.adam.learning_rate = 3e-3;
+    options.optimizer.learning_rate = 3e-3;
     options.seed = 11;
     dist::ShardedDataParallel dp(&allocator, &model, options);
     ANGEL_CHECK_OK(dp.Init());

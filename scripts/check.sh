@@ -48,7 +48,7 @@
 #     inversions, and same-class nesting abort the offending test), the
 #     deliberate-ABBA negative tests, a lock-order graph dump (the CI
 #     artifact), and a seeded schedule-perturbation sweep over the
-#     updater / copy-engine / SSD / dist suites.
+#     updater / copy-engine / SSD / dist / training-loop suites.
 #
 # Usage: scripts/check.sh
 #   [--tier1-only|--tsan-only|--asan-only|--trace-smoke|--lint|--simd|--ssd|
@@ -324,6 +324,11 @@ if [ "$MODE" = all ] || [ "$MODE" = --lockdep ]; then
     ANGELPTM_PERTURB_SEED=$SEED ANGELPTM_PERTURB_PROB=0.05 \
       ./build-lockdep/tests/dist_test \
         --gtest_filter='ProcessGroupTest.*:ShardedDpTest.*'
+    # The training loop's lock-free and recovery paths (EngineTrainer is
+    # the only trainer).
+    ANGELPTM_PERTURB_SEED=$SEED ANGELPTM_PERTURB_PROB=0.05 \
+      ./build-lockdep/tests/train_test \
+        --gtest_filter='EngineTrainerTest.*:RecoveryTest.*'
   done
 fi
 

@@ -42,7 +42,7 @@ namespace angelptm::core {
 /// The checksum makes torn/corrupt checkpoints detectable — a restart after
 /// a mid-write crash must fail loudly, not resume from garbage.
 
-/// Trainer-side progress captured alongside the optimizer state so a resume
+/// Training-loop progress captured alongside the optimizer state so a resume
 /// is exact, not approximate: the step counter, the data-stream RNG cursor,
 /// and the dynamic loss-scaler schedule. (Per-layer Adam step counters live
 /// with each layer's state.)

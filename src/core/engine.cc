@@ -30,8 +30,7 @@ util::Result<std::unique_ptr<Engine>> Engine::Create(
   engine->copy_engine_ = std::make_unique<mem::CopyEngine>(
       engine->memory_.get(), options.copy_threads);
   LockFreeUpdater::Options updater_options;
-  updater_options.optimizer = ResolveLegacyAdam(options.optimizer,
-                                                options.adam);
+  updater_options.optimizer = options.optimizer;
   updater_options.master_device = options.master_device;
   engine->updater_ = std::make_unique<LockFreeUpdater>(
       engine->allocator_.get(), updater_options);

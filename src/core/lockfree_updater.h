@@ -188,10 +188,9 @@ class LockFreeUpdater {
   bool running() const { return running_.load(); }
 
   /// Applies one full update pass inline (every dirty layer), blocking the
-  /// caller. Must not run concurrently with Start(). Callers are
-  /// train::Trainer (whose grad_accumulation folds several batches into
-  /// one update) and DrainUpdates on a stopped updater; core::Engine's
-  /// synchronous mode uses the threads plus the DrainUpdates barrier.
+  /// caller. Must not run concurrently with Start(). DrainUpdates calls it
+  /// on a stopped updater; core::Engine's synchronous mode uses the threads
+  /// plus the DrainUpdates barrier instead, which is bitwise-equal to it.
   [[nodiscard]] util::Status UpdateOnce();
 
   /// Blocks until every gradient offloaded so far has been applied and the

@@ -68,19 +68,4 @@ util::Result<std::unique_ptr<Optimizer>> Optimizer::Create(
   return it->second(config);
 }
 
-OptimizerConfig ResolveLegacyAdam(OptimizerConfig config,
-                                  const AdamConfig& legacy) {
-  const AdamConfig defaults;
-  if (legacy.learning_rate != defaults.learning_rate) {
-    config.learning_rate = legacy.learning_rate;
-  }
-  if (legacy.beta1 != defaults.beta1) config.beta1 = legacy.beta1;
-  if (legacy.beta2 != defaults.beta2) config.beta2 = legacy.beta2;
-  if (legacy.epsilon != defaults.epsilon) config.epsilon = legacy.epsilon;
-  if (legacy.weight_decay != defaults.weight_decay) {
-    config.weight_decay = legacy.weight_decay;
-  }
-  return config;
-}
-
 }  // namespace angelptm::core

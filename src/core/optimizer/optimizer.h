@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/adam.h"
 #include "core/dtype.h"
 #include "util/status.h"
 
@@ -14,7 +13,7 @@ namespace angelptm::core {
 
 /// Hyper-parameters for every registered update rule. A single flat config
 /// (the Multiverso `UpdateOption` shape, SNIPPETS.md §2) keeps the
-/// checkpoint/Trainer/Engine plumbing rule-agnostic; fields a rule does not
+/// checkpoint/Engine/ZeRO plumbing rule-agnostic; fields a rule does not
 /// use are ignored by it.
 struct OptimizerConfig {
   /// Registry key: "adam", "sgdm", "lamb" or "adafactor" (or a rule a test
@@ -110,13 +109,6 @@ std::vector<std::string> RegisteredOptimizers();
 /// Idempotently registers the built-in rules (adam, sgdm, lamb, adafactor).
 /// Called by Optimizer::Create; exposed for tools that list rules first.
 void EnsureBuiltinOptimizersRegistered();
-
-/// Back-compat shim for the pre-redesign `AdamConfig` knobs that still live
-/// on TrainerOptions/EngineOptions: any legacy field that differs from its
-/// AdamConfig default overrides the matching OptimizerConfig field. Callers
-/// that never touch the legacy struct get `config` unchanged.
-OptimizerConfig ResolveLegacyAdam(OptimizerConfig config,
-                                  const AdamConfig& legacy);
 
 }  // namespace angelptm::core
 

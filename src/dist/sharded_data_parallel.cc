@@ -59,8 +59,7 @@ util::Status ShardedDataParallel::Init() {
     }
   }
   ANGEL_ASSIGN_OR_RETURN(
-      optimizer_, core::Optimizer::Create(core::ResolveLegacyAdam(
-                      options_.optimizer, options_.adam)));
+      optimizer_, core::Optimizer::Create(options_.optimizer));
 
   // Connect the collective backend before touching memory: for the process
   // group this blocks until all world_size processes joined, so a rank that

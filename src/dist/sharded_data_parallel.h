@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/adam.h"
 #include "core/allocator.h"
 #include "core/communicator.h"
 #include "core/optimizer/optimizer.h"
@@ -75,9 +74,6 @@ struct ShardedDpOptions {
   /// shard (the slot layout is computed per shard, so e.g. adafactor
   /// factors each shard's own rows x cols grid).
   core::OptimizerConfig optimizer;
-  /// Legacy Adam knobs (see TrainerOptions::adam): non-default fields
-  /// override `optimizer` via core::ResolveLegacyAdam.
-  core::AdamConfig adam;
   /// Per-rank micro-batch; the global batch is world_size * batch_per_rank.
   size_t batch_per_rank = 8;
   uint64_t seed = 1234;

@@ -5,6 +5,7 @@
 
 #include "obs/trace.h"
 #include "train/kernels.h"
+#include "util/half.h"
 #include "util/logging.h"
 
 namespace angelptm::train {
@@ -23,11 +24,21 @@ uint64_t NowUs() {
           .count());
 }
 
+/// Rounds every element through bfloat16 (the paper's compute precision).
+void RoundToBf16(std::vector<float>* values) {
+  for (float& v : *values) {
+    v = util::BFloat16BitsToFloat(util::FloatToBFloat16Bits(v));
+  }
+}
+
 }  // namespace
 
 EngineTrainer::EngineTrainer(const LayeredModel* model,
                              const EngineTrainerOptions& options)
-    : model_(model), options_(options), rng_(options.seed) {
+    : model_(model),
+      options_(options),
+      scaler_(options.loss_scaler),
+      rng_(options.seed) {
   obs::Registry& registry = obs::Registry::Instance();
   metric_fwd_us_ = registry.GetHistogram("train/fwd_us");
   metric_bwd_us_ = registry.GetHistogram("train/bwd_us");
@@ -45,7 +56,18 @@ util::Status EngineTrainer::BuildEngine(util::Rng* rng) {
 }
 
 util::Status EngineTrainer::Init() {
+  if (options_.grad_accumulation < 1) {
+    return util::Status::InvalidArgument("grad_accumulation must be >= 1");
+  }
+  if (options_.grad_accumulation > 1 && options_.engine.lock_free) {
+    return util::Status::InvalidArgument(
+        "grad_accumulation > 1 needs synchronous updates (lock-free mode "
+        "paces itself)");
+  }
   ANGEL_RETURN_IF_ERROR(BuildEngine(&rng_));
+  if (options_.grad_accumulation > 1) {
+    windows_.resize(size_t(model_->num_layers()));
+  }
   if (!options_.checkpoint_dir.empty()) {
     core::CheckpointManager::Options manager_options;
     manager_options.dir = options_.checkpoint_dir;
@@ -60,6 +82,11 @@ core::TrainProgress EngineTrainer::CurrentProgress() const {
   core::TrainProgress progress;
   progress.global_step = global_step_;
   progress.rng_state = rng_.GetState();
+  const LossScaler::State scaler = scaler_.GetState();
+  progress.loss_scale = scaler.scale;
+  progress.scaler_good_steps = scaler.good_steps;
+  progress.scaler_overflows = scaler.overflows;
+  progress.scaler_growths = scaler.growths;
   progress.has_progress = true;
   return progress;
 }
@@ -67,11 +94,23 @@ core::TrainProgress EngineTrainer::CurrentProgress() const {
 void EngineTrainer::RestoreProgress(const core::TrainProgress& progress,
                                     const SyntheticRegression* dataset) {
   global_step_ = progress.global_step;
+  // A partial accumulation window belongs to the abandoned timeline.
+  for (GradWindow& window : windows_) window = GradWindow();
   if (progress.has_progress) {
     rng_.SetState(progress.rng_state);
+    LossScaler::State scaler;
+    scaler.scale = progress.loss_scale;
+    scaler.good_steps = progress.scaler_good_steps;
+    scaler.overflows = progress.scaler_overflows;
+    scaler.growths = progress.scaler_growths;
+    scaler_.SetState(scaler);
     return;
   }
-  // v1 checkpoint: replay the seeded stream (init draws, then the batches).
+  // v1 checkpoint: no RNG/scaler state. Rebuild the data cursor by
+  // re-consuming the seeded stream — the init draws, then every batch up to
+  // the checkpointed step. The scaler restarts from its options (the only
+  // approximation the upgrade path carries).
+  scaler_ = LossScaler(options_.loss_scaler);
   rng_ = util::Rng(options_.seed);
   for (int l = 0; l < model_->num_layers(); ++l) {
     (void)model_->InitLayerParams(l, &rng_);
@@ -123,9 +162,11 @@ util::Status EngineTrainer::Recover(const util::Status& cause,
 }
 
 util::Result<double> EngineTrainer::Step(const std::vector<float>& x,
-                                         const std::vector<float>& y) {
+                                         const std::vector<float>& y,
+                                         bool flush) {
   const int num_layers = model_->num_layers();
   const size_t batch = options_.batch_size;
+  const bool bf16 = options_.compute_precision == ComputePrecision::kBf16;
   ANGEL_RETURN_IF_ERROR(engine_->BeginStep());
 
   // Forward. With activation offloading only the layer *inputs* (the
@@ -140,11 +181,13 @@ util::Result<double> EngineTrainer::Step(const std::vector<float>& x,
       if (options_.offload_activations) {
         ANGEL_RETURN_IF_ERROR(engine_->StashActivation(l, acts));
       }
-      ANGEL_ASSIGN_OR_RETURN(const std::vector<float> params,
+      ANGEL_ASSIGN_OR_RETURN(std::vector<float> params,
                              engine_->UseLayerParams(l));
+      if (bf16) RoundToBf16(&params);
       std::vector<float> next;
       model_->Forward(l, params.data(), acts, batch, &next,
                       options_.offload_activations ? nullptr : &stash[l]);
+      if (bf16) RoundToBf16(&next);  // Layer boundaries in bf16.
       acts = std::move(next);
     }
   }
@@ -157,14 +200,26 @@ util::Result<double> EngineTrainer::Step(const std::vector<float>& x,
   std::vector<float> grad(acts.size());
   const double loss =
       MseLoss(acts.data(), y.data(), grad.data(), acts.size());
+  const double scale = options_.use_loss_scaling ? scaler_.scale() : 1.0;
+  if (scale != 1.0) {
+    for (float& g : grad) g = float(g * scale);
+  }
 
   // Backward: fetch boundaries and recompute interiors when offloading.
+  // Loss-scaled gradients are held until the whole pass is known to be
+  // finite. The pass always runs to the end, overflow or not, so every step
+  // makes the same engine accesses — the traced first step's accesses are
+  // what the schedule is built from.
+  std::vector<std::vector<float>> held(
+      options_.use_loss_scaling ? size_t(num_layers) : 0);
+  bool overflowed = false;
   const uint64_t bwd_start = NowUs();
   {
     ANGEL_SPAN("train", "backward");
     for (int l = num_layers - 1; l >= 0; --l) {
-      ANGEL_ASSIGN_OR_RETURN(const std::vector<float> params,
+      ANGEL_ASSIGN_OR_RETURN(std::vector<float> params,
                              engine_->UseLayerParams(l));
+      if (bf16) RoundToBf16(&params);
       if (options_.offload_activations) {
         ANGEL_ASSIGN_OR_RETURN(const std::vector<float> boundary,
                                engine_->FetchActivation(l));
@@ -175,7 +230,16 @@ util::Result<double> EngineTrainer::Step(const std::vector<float>& x,
       std::vector<float> grad_in, grad_params;
       model_->Backward(l, params.data(), stash[l], grad, batch, &grad_in,
                        &grad_params);
-      ANGEL_RETURN_IF_ERROR(engine_->PushGrads(l, grad_params));
+      if (bf16) {
+        RoundToBf16(&grad_in);
+        RoundToBf16(&grad_params);
+      }
+      if (options_.use_loss_scaling) {
+        overflowed = overflowed || LossScaler::HasNonFinite(grad_params);
+        held[size_t(l)] = std::move(grad_params);
+      } else {
+        ANGEL_RETURN_IF_ERROR(OffloadGrads(l, std::move(grad_params), flush));
+      }
       grad = std::move(grad_in);
     }
   }
@@ -183,6 +247,19 @@ util::Result<double> EngineTrainer::Step(const std::vector<float>& x,
     const uint64_t elapsed = NowUs() - bwd_start;
     bwd_us_.Record(elapsed);
     metric_bwd_us_->Record(elapsed);
+  }
+  if (options_.use_loss_scaling) {
+    // An overflowed step pushes nothing; the scale has backed off.
+    const bool apply = scaler_.Update(overflowed);
+    const float inv = float(1.0 / scale);
+    for (int l = num_layers - 1; l >= 0; --l) {
+      if (!apply) {
+        if (flush) ANGEL_RETURN_IF_ERROR(FlushWindow(l));
+        continue;
+      }
+      for (float& g : held[size_t(l)]) g *= inv;
+      ANGEL_RETURN_IF_ERROR(OffloadGrads(l, std::move(held[size_t(l)]), flush));
+    }
   }
   // EndStep runs the drain and (in synchronous mode) the update barrier.
   const uint64_t opt_start = NowUs();
@@ -195,6 +272,29 @@ util::Result<double> EngineTrainer::Step(const std::vector<float>& x,
   return loss;
 }
 
+util::Status EngineTrainer::OffloadGrads(int layer, std::vector<float> grads,
+                                         bool flush) {
+  if (windows_.empty()) return engine_->PushGrads(layer, grads);
+  GradWindow& window = windows_[size_t(layer)];
+  if (window.batches == 0) {
+    window.sum = std::move(grads);
+  } else {
+    for (size_t i = 0; i < grads.size(); ++i) window.sum[i] += grads[i];
+  }
+  window.batches += 1;
+  return flush ? FlushWindow(layer) : util::Status::OK();
+}
+
+util::Status EngineTrainer::FlushWindow(int layer) {
+  if (windows_.empty()) return util::Status::OK();
+  GradWindow& window = windows_[size_t(layer)];
+  if (window.batches == 0) return util::Status::OK();
+  const float batches = float(window.batches);
+  for (float& g : window.sum) g /= batches;
+  window.batches = 0;
+  return engine_->PushGrads(layer, window.sum);
+}
+
 util::Status EngineTrainer::TrainRange(const SyntheticRegression& dataset,
                                        int64_t target_step,
                                        TrainReport* report) {
@@ -202,8 +302,11 @@ util::Status EngineTrainer::TrainRange(const SyntheticRegression& dataset,
   while (global_step_ < target_step) {
     ANGEL_SPAN("train", "step");
     dataset.GenBatch(&rng_, options_.batch_size, &x, &y);
-    ANGEL_ASSIGN_OR_RETURN(const double loss, Step(x, y));
-    global_step_ += 1;
+    const int64_t step = global_step_ + 1;
+    const bool flush =
+        step % options_.grad_accumulation == 0 || step == target_step;
+    ANGEL_ASSIGN_OR_RETURN(const double loss, Step(x, y, flush));
+    global_step_ = step;
     report->losses.push_back(loss);
     if (options_.engine.lock_free) {
       report->telemetry.max_pending_batches =
@@ -212,6 +315,10 @@ util::Status EngineTrainer::TrainRange(const SyntheticRegression& dataset,
     }
     if (ckpt_manager_ != nullptr && options_.checkpoint_every_n_steps > 0 &&
         global_step_ % options_.checkpoint_every_n_steps == 0) {
+      // The cut is taken with the updater threads still running (per-layer
+      // quiesce); in lock-free mode the optimizer keeps folding gradients
+      // while the file is written. A failed save is a warning, not a dead
+      // run — the previous rotated checkpoint still covers recovery.
       const util::Status saved =
           ckpt_manager_->Save(engine_->updater(), CurrentProgress());
       if (!saved.ok()) {
@@ -241,10 +348,15 @@ util::Result<TrainReport> EngineTrainer::Train(
   const uint64_t recoveries_at_entry = recoveries_;
   const double start = NowSeconds();
 
+  // The recovery loop (§3.1): a poisoned updater inside the range is torn
+  // down with its engine and rebuilt from the latest valid checkpoint, the
+  // step counter and data cursor rewind with it, and the range re-runs from
+  // there — bounded by max_recoveries.
   for (;;) {
     const util::Status ran = TrainRange(dataset, target_step, &report);
     if (ran.ok()) break;
     ANGEL_RETURN_IF_ERROR(Recover(ran, dataset));
+    // Steps past the restored checkpoint will re-run: drop their losses.
     const int64_t kept = std::max<int64_t>(global_step_ - base_step, 0);
     if (int64_t(report.losses.size()) > kept) report.losses.resize(kept);
   }
@@ -252,6 +364,8 @@ util::Result<TrainReport> EngineTrainer::Train(
   report.steps_per_second =
       report.wall_seconds > 0 ? steps / report.wall_seconds : 0.0;
   report.final_train_loss = report.losses.empty() ? 0.0 : report.losses.back();
+  report.overflow_steps_skipped = scaler_.steps_skipped();
+  report.final_loss_scale = options_.use_loss_scaling ? scaler_.scale() : 1.0;
 
   report.telemetry.fwd_us = fwd_us_;
   report.telemetry.bwd_us = bwd_us_;
@@ -268,15 +382,21 @@ util::Result<TrainReport> EngineTrainer::Train(
     report.telemetry.has_ssd = true;
   }
   report.telemetry.copy = engine_->copy_engine()->Snapshot();
-  report.telemetry.has_copy_engine = true;
+  ANGEL_ASSIGN_OR_RETURN(report.validation_loss, Validate(dataset));
+  return report;
+}
 
-  // Validation on the master parameters, read once (with SSD masters each
-  // read is a round trip through the tier).
+util::Result<double> EngineTrainer::Validate(
+    const SyntheticRegression& dataset) {
+  // The master parameters are read once: with SSD masters each read is a
+  // round trip through the tier.
   ANGEL_SPAN("train", "validate");
+  const bool bf16 = options_.compute_precision == ComputePrecision::kBf16;
   std::vector<std::vector<float>> masters(size_t(model_->num_layers()));
   for (int l = 0; l < model_->num_layers(); ++l) {
     ANGEL_RETURN_IF_ERROR(
         engine_->updater()->ReadMasterParams(l, &masters[size_t(l)]));
+    if (bf16) RoundToBf16(&masters[size_t(l)]);
   }
   util::Rng validation_rng(options_.seed ^ 0x5EEDF00Dull);
   double total = 0.0;
@@ -289,13 +409,13 @@ util::Result<TrainReport> EngineTrainer::Train(
       std::vector<float> next;
       model_->Forward(l, masters[size_t(l)].data(), acts,
                       options_.batch_size, &next, nullptr);
+      if (bf16) RoundToBf16(&next);
       acts = std::move(next);
     }
     std::vector<float> grad(acts.size());
     total += MseLoss(acts.data(), y.data(), grad.data(), acts.size());
   }
-  report.validation_loss = total / validation_batches;
-  return report;
+  return total / validation_batches;
 }
 
 }  // namespace angelptm::train

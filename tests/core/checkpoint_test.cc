@@ -12,8 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "train/dataset.h"
+#include "train/engine_trainer.h"
 #include "train/mlp.h"
-#include "train/trainer.h"
 #include "util/random.h"
 
 namespace angelptm::core {
@@ -102,36 +102,45 @@ TEST_F(CheckpointTest, ResumedTrainingContinuesFromCheckpoint) {
   const train::MlpModel model({{8, 16, 2}});
   train::SyntheticRegression dataset(8, 16, 2, 5);
 
-  train::TrainerOptions options;
-  options.adam.learning_rate = 3e-3;
+  train::EngineTrainerOptions options;
+  options.engine.memory.page_bytes = 16 * 1024;
+  options.engine.memory.gpu_capacity_bytes = 4ull << 20;
+  options.engine.memory.cpu_capacity_bytes = 64ull << 20;
+  options.engine.optimizer.learning_rate = 3e-3;
   options.batch_size = 16;
   options.seed = 3;
+  options.offload_activations = false;
 
   // Uninterrupted reference: 60 steps.
-  train::Trainer reference(&allocator_, &model, options);
+  train::EngineTrainer reference(&model, options);
   ASSERT_TRUE(reference.Init().ok());
   ASSERT_TRUE(reference.Train(dataset, 60).ok());
   std::vector<float> reference_params;
-  ASSERT_TRUE(
-      reference.updater()->ReadMasterParams(0, &reference_params).ok());
+  ASSERT_TRUE(reference.engine()
+                  ->updater()
+                  ->ReadMasterParams(0, &reference_params)
+                  .ok());
 
   // Interrupted run: 30 steps, checkpoint, crash; new trainer replays the
   // SAME first 30 batches (same seed) to keep the data stream aligned,
   // then restores the checkpoint and trains the remaining 30.
-  train::Trainer first_half(&allocator_, &model, options);
+  train::EngineTrainer first_half(&model, options);
   ASSERT_TRUE(first_half.Init().ok());
   ASSERT_TRUE(first_half.Train(dataset, 30).ok());
-  ASSERT_TRUE(SaveCheckpoint(first_half.updater(), path).ok());
+  ASSERT_TRUE(SaveCheckpoint(first_half.engine()->updater(), path).ok());
 
-  train::Trainer resumed(&allocator_, &model, options);
+  train::EngineTrainer resumed(&model, options);
   ASSERT_TRUE(resumed.Init().ok());
   ASSERT_TRUE(resumed.Train(dataset, 30).ok());  // Advance the data stream.
-  ASSERT_TRUE(LoadCheckpoint(resumed.updater(), path).ok());
+  // Importing state needs the updater threads stopped; the next step's
+  // BeginStep starts them again.
+  LockFreeUpdater* resumed_updater = resumed.engine()->updater();
+  resumed_updater->Stop();
+  ASSERT_TRUE(LoadCheckpoint(resumed_updater, path).ok());
   ASSERT_TRUE(resumed.Train(dataset, 30).ok());
 
   std::vector<float> resumed_params;
-  ASSERT_TRUE(
-      resumed.updater()->ReadMasterParams(0, &resumed_params).ok());
+  ASSERT_TRUE(resumed_updater->ReadMasterParams(0, &resumed_params).ok());
   ASSERT_EQ(resumed_params.size(), reference_params.size());
   for (size_t i = 0; i < resumed_params.size(); ++i) {
     EXPECT_NEAR(resumed_params[i], reference_params[i], 1e-5) << i;

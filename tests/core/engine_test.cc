@@ -26,7 +26,7 @@ EngineOptions SmallEngineOptions(uint64_t gpu_pages = 6) {
   options.memory.page_bytes = 16 * 1024;
   options.memory.gpu_capacity_bytes = gpu_pages * 16 * 1024;
   options.memory.cpu_capacity_bytes = 16ull << 20;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   return options;
 }
 
@@ -449,7 +449,7 @@ TEST(EngineTest, HitWaitAccountingCoversEveryScheduledUseExactlyOnce) {
   options.memory.page_bytes = 4 * 1024;
   options.memory.gpu_capacity_bytes = 3 * 4 * 1024;
   options.memory.cpu_capacity_bytes = 16ull << 20;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   auto engine = Engine::Create(options);
   ASSERT_TRUE(engine.ok());
   train::MlpModel model({{16, 48, 48, 4}});
@@ -518,7 +518,7 @@ TEST(EngineTest, FailedPrefetchMovesAreCountedNotLost) {
   options.memory.page_bytes = 4 * 1024;
   options.memory.gpu_capacity_bytes = 3 * 4 * 1024;
   options.memory.cpu_capacity_bytes = 16ull << 20;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   auto engine = Engine::Create(options);
   ASSERT_TRUE(engine.ok());
   train::MlpModel model({{16, 48, 48, 4}});
@@ -559,7 +559,7 @@ TEST(EngineTest, ModelLargerThanGpuStillTrainsViaPaging) {
   options.memory.page_bytes = 4 * 1024;
   options.memory.gpu_capacity_bytes = 3 * 4 * 1024;
   options.memory.cpu_capacity_bytes = 16ull << 20;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   auto engine = Engine::Create(options);
   ASSERT_TRUE(engine.ok());
   train::MlpModel model({{16, 48, 48, 4}});
@@ -607,7 +607,7 @@ TEST(EngineTest, SyncStepsMatchSerialUpdatePassBitwise) {
   mem::HierarchicalMemory memory(memory_options);
   Allocator allocator(&memory);
   LockFreeUpdater::Options updater_options;
-  updater_options.optimizer = ResolveLegacyAdam(options.optimizer, options.adam);
+  updater_options.optimizer = options.optimizer;
   updater_options.master_device = options.master_device;
   LockFreeUpdater serial(&allocator, updater_options);
   util::Rng serial_rng(41);

@@ -316,23 +316,5 @@ TEST_F(OptimizerTest, AdafactorBitwiseIdenticalAcrossThreadCounts) {
   ExpectThreadCountInvariant(**adafactor, 20000, 4);
 }
 
-TEST_F(OptimizerTest, ResolveLegacyAdamOverridesOnlyChangedFields) {
-  OptimizerConfig config;
-  config.rule = "lamb";
-  config.learning_rate = 0.5;
-  config.beta1 = 0.8;
-
-  AdamConfig legacy;  // All defaults: nothing overrides.
-  OptimizerConfig resolved = ResolveLegacyAdam(config, legacy);
-  EXPECT_EQ(resolved.rule, "lamb");
-  EXPECT_EQ(resolved.learning_rate, 0.5);
-  EXPECT_EQ(resolved.beta1, 0.8);
-
-  legacy.learning_rate = 3e-3;  // Set away from the default: overrides.
-  resolved = ResolveLegacyAdam(config, legacy);
-  EXPECT_EQ(resolved.learning_rate, 3e-3);
-  EXPECT_EQ(resolved.beta1, 0.8);  // Untouched legacy field: kept.
-}
-
 }  // namespace
 }  // namespace angelptm::core

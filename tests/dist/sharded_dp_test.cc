@@ -25,7 +25,7 @@ mem::HierarchicalMemoryOptions MemoryOptions() {
 ShardedDpOptions DpOptions(int world) {
   ShardedDpOptions options;
   options.world_size = world;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   options.batch_per_rank = 8;
   options.seed = 11;
   return options;

@@ -74,7 +74,7 @@ TEST(TraceGoldenTest, TrainingRunEmitsBalancedMultiSubsystemTrace) {
     options.engine.memory.ssd_capacity_bytes = 128 * 16 * 1024;
     options.engine.memory.ssd_path = "/tmp/angelptm_trace_golden_ssd_" +
                                      std::to_string(::getpid()) + ".bin";
-    options.engine.adam.learning_rate = 3e-3;
+    options.engine.optimizer.learning_rate = 3e-3;
     options.engine.lock_free = true;
     options.engine.master_device = mem::DeviceKind::kSsd;
     options.batch_size = 16;

@@ -5,10 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/allocator.h"
 #include "train/dataset.h"
+#include "train/engine_trainer.h"
 #include "train/mlp.h"
-#include "train/trainer.h"
 
 namespace angelptm::train {
 namespace {
@@ -75,22 +74,24 @@ TEST(LossScalerTest, DetectsNonFinite) {
   EXPECT_TRUE(LossScaler::HasNonFinite({std::nanf("")}));
 }
 
-TEST(LossScalerTest, TrainerWithScalingStillConverges) {
-  mem::HierarchicalMemoryOptions memory_options;
-  memory_options.page_bytes = 16 * 1024;
-  memory_options.gpu_capacity_bytes = 4ull << 20;
-  memory_options.cpu_capacity_bytes = 32ull << 20;
-  mem::HierarchicalMemory memory(memory_options);
-  core::Allocator allocator(&memory);
-
-  const MlpModel model({{16, 64, 4}});
-  TrainerOptions options;
-  options.adam.learning_rate = 3e-3;
+EngineTrainerOptions ScaledOptions() {
+  EngineTrainerOptions options;
+  options.engine.memory.page_bytes = 16 * 1024;
+  options.engine.memory.gpu_capacity_bytes = 4ull << 20;
+  options.engine.memory.cpu_capacity_bytes = 32ull << 20;
+  options.engine.optimizer.learning_rate = 3e-3;
   options.batch_size = 32;
+  options.offload_activations = false;
   options.use_loss_scaling = true;
-  options.loss_scaler.initial_scale = 1024.0;
   options.seed = 7;
-  Trainer trainer(&allocator, &model, options);
+  return options;
+}
+
+TEST(LossScalerTest, TrainerWithScalingStillConverges) {
+  const MlpModel model({{16, 64, 4}});
+  EngineTrainerOptions options = ScaledOptions();
+  options.loss_scaler.initial_scale = 1024.0;
+  EngineTrainer trainer(&model, options);
   ASSERT_TRUE(trainer.Init().ok());
   SyntheticRegression dataset(16, 32, 4, 99);
   auto report = trainer.Train(dataset, 200);
@@ -104,37 +105,32 @@ TEST(LossScalerTest, TrainerWithScalingStillConverges) {
 
 TEST(LossScalerTest, TrainerSkipsOverflowedSteps) {
   // A pathological scale guarantees inf gradients: every step must be
-  // skipped, parameters unchanged, and the scale must decay.
-  mem::HierarchicalMemoryOptions memory_options;
-  memory_options.page_bytes = 16 * 1024;
-  memory_options.gpu_capacity_bytes = 4ull << 20;
-  memory_options.cpu_capacity_bytes = 32ull << 20;
-  mem::HierarchicalMemory memory(memory_options);
-  core::Allocator allocator(&memory);
-
+  // skipped, parameters unchanged, and the scale must decay. Every step
+  // still runs its whole backward, so the traced first step (itself
+  // overflowed) yields a complete schedule.
   const MlpModel model({{16, 64, 4}});
-  TrainerOptions options;
-  options.adam.learning_rate = 3e-3;
-  options.batch_size = 32;
-  options.use_loss_scaling = true;
+  EngineTrainerOptions options = ScaledOptions();
   // Large enough that even after ten 0.5x backoffs the scaled gradients
   // still exceed float max (~3.4e38), so every step overflows.
   options.loss_scaler.initial_scale = 3e42;
   options.loss_scaler.min_scale = 1.0;
-  options.seed = 7;
-  Trainer trainer(&allocator, &model, options);
+  EngineTrainer trainer(&model, options);
   ASSERT_TRUE(trainer.Init().ok());
   std::vector<float> before;
-  ASSERT_TRUE(trainer.updater()->ReadMasterParams(0, &before).ok());
+  ASSERT_TRUE(trainer.engine()->updater()->ReadMasterParams(0, &before).ok());
   SyntheticRegression dataset(16, 32, 4, 99);
   auto report = trainer.Train(dataset, 10);
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->overflow_steps_skipped, 10u);
   EXPECT_EQ(report->telemetry.updater.updates_applied, 0u);
   std::vector<float> after;
-  ASSERT_TRUE(trainer.updater()->ReadMasterParams(0, &after).ok());
+  ASSERT_TRUE(trainer.engine()->updater()->ReadMasterParams(0, &after).ok());
   EXPECT_EQ(before, after);
   EXPECT_LT(report->final_loss_scale, 3e42);
+  // Two uses (forward + backward) per layer on each post-trace step.
+  ASSERT_NE(trainer.engine()->schedule(), nullptr);
+  EXPECT_EQ(trainer.engine()->scheduled_uses(),
+            2u * uint64_t(model.num_layers()) * (10 - 1));
 }
 
 }  // namespace

@@ -7,10 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/allocator.h"
 #include "train/engine_trainer.h"
 #include "train/mlp.h"
-#include "train/trainer.h"
 #include "util/fault_injector.h"
 #include "util/parallel_for.h"
 #include "util/thread_pool.h"
@@ -46,11 +44,15 @@ const MlpModel& TestModel() {
   return *model;
 }
 
-TrainerOptions BaseOptions() {
-  TrainerOptions options;
-  options.adam.learning_rate = 3e-3;
+/// Exact host activation stashes, as in the classical flow; the memory
+/// hierarchy (and its SSD file) is named per trainer by `tag`.
+EngineTrainerOptions BaseOptions(const char* tag) {
+  EngineTrainerOptions options;
+  options.engine.memory = MemoryOptions(tag);
+  options.engine.optimizer.learning_rate = 3e-3;
   options.batch_size = 32;
   options.seed = 7;
+  options.offload_activations = false;
   return options;
 }
 
@@ -92,18 +94,16 @@ TEST_F(RecoveryTest, KillAndRestartMatchesUninterruptedRunBitwise) {
   const std::string dir = TempDir("bitwise");
 
   // Uninterrupted reference: 60 steps straight through.
-  TrainerOptions options = BaseOptions();
+  EngineTrainerOptions options = BaseOptions("ref");
   options.use_loss_scaling = true;  // The scaler schedule must survive too.
   std::vector<std::vector<float>> reference;
   std::vector<double> reference_losses;
   {
-    mem::HierarchicalMemory memory(MemoryOptions("ref"));
-    core::Allocator allocator(&memory);
-    Trainer trainer(&allocator, &TestModel(), options);
+    EngineTrainer trainer(&TestModel(), options);
     ASSERT_TRUE(trainer.Init().ok());
     auto report = trainer.Train(dataset, 60);
     ASSERT_TRUE(report.ok());
-    reference = MasterParams(trainer.updater());
+    reference = MasterParams(trainer.engine()->updater());
     reference_losses = report->losses;
   }
 
@@ -113,17 +113,15 @@ TEST_F(RecoveryTest, KillAndRestartMatchesUninterruptedRunBitwise) {
   options.checkpoint_every_n_steps = 10;
   std::vector<double> second_half_losses;
   {
-    mem::HierarchicalMemory memory(MemoryOptions("half1"));
-    core::Allocator allocator(&memory);
-    Trainer trainer(&allocator, &TestModel(), options);
+    options.engine.memory = MemoryOptions("half1");
+    EngineTrainer trainer(&TestModel(), options);
     ASSERT_TRUE(trainer.Init().ok());
     ASSERT_TRUE(trainer.Train(dataset, 30).ok());
     EXPECT_EQ(trainer.checkpoint_manager()->Snapshot().last_saved_step, 30);
   }  // <- the crash: everything in memory is gone.
   {
-    mem::HierarchicalMemory memory(MemoryOptions("half2"));
-    core::Allocator allocator(&memory);
-    Trainer trainer(&allocator, &TestModel(), options);
+    options.engine.memory = MemoryOptions("half2");
+    EngineTrainer trainer(&TestModel(), options);
     ASSERT_TRUE(trainer.Init().ok());
     auto resumed = trainer.TryResume(&dataset);
     ASSERT_TRUE(resumed.ok()) << resumed.status();
@@ -134,7 +132,7 @@ TEST_F(RecoveryTest, KillAndRestartMatchesUninterruptedRunBitwise) {
     second_half_losses = report->losses;
 
     const std::vector<std::vector<float>> restarted =
-        MasterParams(trainer.updater());
+        MasterParams(trainer.engine()->updater());
     ASSERT_EQ(restarted.size(), reference.size());
     for (size_t l = 0; l < reference.size(); ++l) {
       EXPECT_EQ(restarted[l], reference[l]) << "layer " << l;
@@ -150,11 +148,9 @@ TEST_F(RecoveryTest, KillAndRestartMatchesUninterruptedRunBitwise) {
 }
 
 TEST_F(RecoveryTest, TryResumeIsFreshStartWithoutCheckpoints) {
-  mem::HierarchicalMemory memory(MemoryOptions("fresh"));
-  core::Allocator allocator(&memory);
-  TrainerOptions options = BaseOptions();
+  EngineTrainerOptions options = BaseOptions("fresh");
   options.checkpoint_dir = TempDir("fresh");
-  Trainer trainer(&allocator, &TestModel(), options);
+  EngineTrainer trainer(&TestModel(), options);
   ASSERT_TRUE(trainer.Init().ok());
   auto resumed = trainer.TryResume();
   ASSERT_TRUE(resumed.ok()) << resumed.status();
@@ -165,33 +161,30 @@ TEST_F(RecoveryTest, TryResumeIsFreshStartWithoutCheckpoints) {
 
 TEST_F(RecoveryTest, AutoRecoveryAbsorbsPoisonedUpdater) {
   // §3.1 end to end: a transient SSD failure poisons the lock-free updater
-  // mid-run; Train() must tear it down, restore the latest checkpoint into
-  // a fresh updater, and finish — no hang, no error, and the recovery is
+  // mid-run; Train() must tear its engine down, restore the latest
+  // checkpoint into a fresh one, and finish — no hang, no error, and the recovery is
   // visible in the report's telemetry.
   SyntheticRegression dataset(16, 32, 4, 99);
-  TrainerOptions options = BaseOptions();
-  options.lock_free = true;
-  options.master_device = mem::DeviceKind::kSsd;
+  EngineTrainerOptions options = BaseOptions("recover_ref");
+  options.engine.lock_free = true;
+  options.engine.master_device = mem::DeviceKind::kSsd;
   options.drain_deadline_ms = 5000;
 
   // Fault-free twin: same config, no faults — the quality yardstick.
   double fault_free_loss = 0;
   {
-    mem::HierarchicalMemory memory(MemoryOptions("recover_ref"));
-    core::Allocator allocator(&memory);
-    Trainer reference(&allocator, &TestModel(), options);
+    EngineTrainer reference(&TestModel(), options);
     ASSERT_TRUE(reference.Init().ok());
     auto report = reference.Train(dataset, 60);
     ASSERT_TRUE(report.ok());
     fault_free_loss = report->validation_loss;
   }
 
-  mem::HierarchicalMemory memory(MemoryOptions("recover"));
-  core::Allocator allocator(&memory);
+  options.engine.memory = MemoryOptions("recover");
   options.checkpoint_dir = TempDir("recover");
   options.checkpoint_every_n_steps = 10;
   options.max_recoveries = 2;
-  Trainer trainer(&allocator, &TestModel(), options);
+  EngineTrainer trainer(&TestModel(), options);
   ASSERT_TRUE(trainer.Init().ok());
 
   // Phase 1: train far enough to have checkpoints on disk.
@@ -213,8 +206,8 @@ TEST_F(RecoveryTest, AutoRecoveryAbsorbsPoisonedUpdater) {
   EXPECT_EQ(trainer.recoveries(), 1u);
   EXPECT_EQ(trainer.global_step(), 23);
   // The post-recovery updater is healthy and fully drained.
-  EXPECT_TRUE(trainer.updater()->status().ok());
-  EXPECT_EQ(trainer.updater()->Snapshot().pending_grad_batches, 0u);
+  EXPECT_TRUE(trainer.engine()->updater()->status().ok());
+  EXPECT_EQ(trainer.engine()->updater()->Snapshot().pending_grad_batches, 0u);
   // Exactly the requested number of losses: the rewound steps were re-run,
   // not double-counted (no silent gradient loss either way).
   EXPECT_EQ(faulted->losses.size(), 3u);
@@ -236,16 +229,14 @@ TEST_F(RecoveryTest, AutoRecoveryAbsorbsPoisonedUpdater) {
 
 TEST_F(RecoveryTest, RecoveryBudgetExhaustionPropagatesLoudly) {
   SyntheticRegression dataset(16, 32, 4, 99);
-  mem::HierarchicalMemory memory(MemoryOptions("budget"));
-  core::Allocator allocator(&memory);
-  TrainerOptions options = BaseOptions();
-  options.lock_free = true;
-  options.master_device = mem::DeviceKind::kSsd;
+  EngineTrainerOptions options = BaseOptions("budget");
+  options.engine.lock_free = true;
+  options.engine.master_device = mem::DeviceKind::kSsd;
   options.drain_deadline_ms = 5000;
   options.checkpoint_dir = TempDir("budget");
   options.checkpoint_every_n_steps = 10;
   options.max_recoveries = 1;
-  Trainer trainer(&allocator, &TestModel(), options);
+  EngineTrainer trainer(&TestModel(), options);
   ASSERT_TRUE(trainer.Init().ok());
   ASSERT_TRUE(trainer.Train(dataset, 10).ok());
 
@@ -281,7 +272,7 @@ TEST_F(RecoveryTest, EngineTrainerResumesAndRecovers) {
   options.engine.memory.page_bytes = 16 * 1024;
   options.engine.memory.gpu_capacity_bytes = 16 * 16 * 1024;
   options.engine.memory.cpu_capacity_bytes = 32ull << 20;
-  options.engine.adam.learning_rate = 3e-3;
+  options.engine.optimizer.learning_rate = 3e-3;
   options.batch_size = 32;
   options.seed = 7;
   options.offload_activations = false;
