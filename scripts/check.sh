@@ -60,6 +60,11 @@ MODE="${1:-all}"
 
 # The batched SSD move tests (DESIGN.md §12.5), shared by --ssd and --tsan.
 BATCHED_MOVE_TESTS='*BatchedMove*:HierarchicalMemoryTest.*'
+# The pipelined master I/O tests (DESIGN.md §12.7), shared by --tsan and
+# --lockdep: the allocator's in-flight guard and the updater's read-ahead /
+# write-behind suites.
+MASTER_IO_ALLOC_TESTS='AllocatorInFlightTest.*:AllocatorTest.*'
+MASTER_IO_UPDATER_TESTS='LockFreeUpdater*:*SyncUpdateParity*'
 
 if [ "$MODE" = all ] || [ "$MODE" = --tier1-only ]; then
   echo "=== tier-1: build + full test suite ==="
@@ -245,7 +250,7 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j --target util_test obs_test train_test \
-    runtime_test mem_test
+    runtime_test mem_test core_test
   # Deterministically exercise the parallel code paths even on small CI
   # hosts: the kernels split work as if 4 workers were present.
   ANGELPTM_COMPUTE_THREADS=4 \
@@ -266,6 +271,15 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
   for WORKERS in 0 4; do
     ANGELPTM_SSD_IO_WORKERS=$WORKERS TSAN_OPTIONS="halt_on_error=1" \
       ./build-tsan/tests/mem_test --gtest_filter="$BATCHED_MOVE_TESTS"
+  done
+  # Pipelined master I/O (DESIGN.md §12.7): Allocator::Move runs its tier
+  # I/O outside alloc.state, and the updater's read-aheads and
+  # write-behinds run on their own thread, on both SSD backends.
+  for WORKERS in 0 4; do
+    ANGELPTM_SSD_IO_WORKERS=$WORKERS TSAN_OPTIONS="halt_on_error=1" \
+      ./build-tsan/tests/core_test --gtest_filter="$MASTER_IO_ALLOC_TESTS"
+    ANGELPTM_SSD_IO_WORKERS=$WORKERS TSAN_OPTIONS="halt_on_error=1" \
+      ./build-tsan/tests/runtime_test --gtest_filter="$MASTER_IO_UPDATER_TESTS"
   done
 fi
 
@@ -317,10 +331,13 @@ if [ "$MODE" = all ] || [ "$MODE" = --lockdep ]; then
     echo "--- perturbation sweep: ANGELPTM_PERTURB_SEED=$SEED ---"
     ANGELPTM_PERTURB_SEED=$SEED ANGELPTM_PERTURB_PROB=0.05 \
       ./build-lockdep/tests/runtime_test \
-        --gtest_filter='LockFreeUpdater*:*SyncUpdateParity*:EngineTest.*'
+        --gtest_filter="$MASTER_IO_UPDATER_TESTS:EngineTest.*"
     ANGELPTM_PERTURB_SEED=$SEED ANGELPTM_PERTURB_PROB=0.05 \
       ./build-lockdep/tests/mem_test \
         --gtest_filter='CopyEngineTest.*:SsdTierTest.*'
+    ANGELPTM_PERTURB_SEED=$SEED ANGELPTM_PERTURB_PROB=0.05 \
+      ./build-lockdep/tests/core_test \
+        --gtest_filter="$MASTER_IO_ALLOC_TESTS"
     ANGELPTM_PERTURB_SEED=$SEED ANGELPTM_PERTURB_PROB=0.05 \
       ./build-lockdep/tests/dist_test \
         --gtest_filter='ProcessGroupTest.*:ShardedDpTest.*'

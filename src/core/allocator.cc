@@ -132,6 +132,7 @@ util::Status Allocator::Release(Tensor* tensor) {
     return util::Status::NotFound("tensor " + std::to_string(tensor->id()) +
                                   " not owned by this allocator");
   }
+  ANGEL_RETURN_IF_ERROR(CheckNotMovingLocked(*tensor, "release"));
   for (mem::Page* page : tensor->pages()) {
     ANGEL_RETURN_IF_ERROR(page->Release(tensor->id()));
     if (page->IsEmpty()) {
@@ -147,32 +148,47 @@ util::Status Allocator::Release(Tensor* tensor) {
 
 util::Status Allocator::Move(std::span<Tensor* const> tensors,
                              mem::DeviceKind target) {
-  // The lock spans the I/O of MovePages, not just the page collection, so
-  // every compute-side Allocate/Release/Move waits behind an updater
-  // thread's master batch (~7 ms per layer on the throttled SSD of
-  // perfbench ssd_sync). Narrowing it to the collection measured ssd_sync
-  // at ~145-160 samples/s (from ~120), but lock-free training then ran
-  // further ahead: ssd_lockfree valid_loss 0.85 -> 1.2-1.4, staleness max
-  // 4 -> 12. This lock is what paces the lock-free loop today, so it stays
-  // until that loop has its own convergence gate (ROADMAP.md).
-  util::MutexLock lock(mutex_);
+  // alloc.state covers the bookkeeping, not the I/O: the pages are
+  // collected and marked in flight under the lock, MovePages runs outside
+  // it, and the marks are cleared afterwards. Compute-side Allocate/
+  // Release/Move calls therefore no longer wait behind an updater's master
+  // batch (DESIGN.md §12.7); Release and Merge refuse a tensor whose pages
+  // are marked, so no frame is freed mid-I/O.
   std::vector<mem::Page*> pages;
-  std::unordered_set<const mem::Page*> seen;
-  for (const Tensor* tensor : tensors) {
-    if (tensor == nullptr) return util::Status::InvalidArgument("null tensor");
-    for (mem::Page* page : tensor->pages()) {
-      // Grouped tensors share tail pages; move each page once.
-      if (seen.insert(page).second) pages.push_back(page);
+  {
+    util::MutexLock lock(mutex_);
+    std::unordered_set<const mem::Page*> seen;
+    for (const Tensor* tensor : tensors) {
+      if (tensor == nullptr) {
+        return util::Status::InvalidArgument("null tensor");
+      }
+      for (mem::Page* page : tensor->pages()) {
+        // Grouped tensors share tail pages; move each page once.
+        if (seen.insert(page).second) pages.push_back(page);
+      }
+    }
+    for (const mem::Page* page : pages) {
+      if (moving_pages_.count(page) != 0) {
+        return util::Status::FailedPrecondition(
+            "page " + std::to_string(page->id()) + " is already moving");
+      }
+    }
+    for (const mem::Page* page : pages) {
+      // A moved page can no longer serve as an open tail on its old tier.
+      ForgetOpenPage(page);
+      moving_pages_.insert(page);
     }
   }
-  // A moved page can no longer serve as an open tail on its old tier.
-  for (const mem::Page* page : pages) ForgetOpenPage(page);
-  return memory_->MovePages(pages, target);
+  const util::Status moved = memory_->MovePages(pages, target);
+  util::MutexLock lock(mutex_);
+  for (const mem::Page* page : pages) moving_pages_.erase(page);
+  return moved;
 }
 
 util::Status Allocator::Merge(Tensor* tensor) {
   if (tensor == nullptr) return util::Status::InvalidArgument("null tensor");
   util::MutexLock lock(mutex_);
+  ANGEL_RETURN_IF_ERROR(CheckNotMovingLocked(*tensor, "merge"));
   if (tensor->IsContiguous()) return util::Status::OK();
   if (!tensor->IsResident()) {
     return util::Status::FailedPrecondition(
@@ -224,6 +240,24 @@ uint64_t Allocator::allocated_bytes() const {
 uint64_t Allocator::padding_bytes() const {
   util::MutexLock lock(mutex_);
   return page_capacity_bytes_ - allocated_bytes_;
+}
+
+size_t Allocator::pages_in_flight() const {
+  util::MutexLock lock(mutex_);
+  return moving_pages_.size();
+}
+
+util::Status Allocator::CheckNotMovingLocked(const Tensor& tensor,
+                                             const char* op) const {
+  for (const mem::Page* page : tensor.pages()) {
+    if (moving_pages_.count(page) != 0) {
+      return util::Status::FailedPrecondition(
+          std::string("cannot ") + op + " tensor " +
+          std::to_string(tensor.id()) + ": page " +
+          std::to_string(page->id()) + " is moving");
+    }
+  }
+  return util::Status::OK();
 }
 
 void Allocator::ForgetOpenPage(const mem::Page* page) {

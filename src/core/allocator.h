@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/tensor.h"
@@ -47,14 +48,19 @@ class Allocator {
       ANGEL_EXCLUDES(mutex_);
 
   /// Releases the tensor's claims; pages that drain are destroyed, returning
-  /// frames to their tier.
+  /// frames to their tier. FailedPrecondition (nothing released) while one
+  /// of its pages is in a Move's I/O.
   [[nodiscard]] util::Status Release(Tensor* tensor) ANGEL_EXCLUDES(mutex_);
 
   /// Moves every page of the tensors to `target` in one
   /// HierarchicalMemory::MovePages call, synchronously; a tail page that
   /// grouped tensors share is moved once. A shared tail page carries its
   /// partner tensor's bytes along (by design — grouped tensors co-migrate).
-  /// SSD crossings therefore travel as one coalesced batch.
+  /// SSD crossings therefore travel as one coalesced batch. The lock is
+  /// held only to collect the pages and mark them in flight, not across
+  /// the I/O, so other threads allocate, release and move other tensors
+  /// meanwhile; moving a page that is already in flight fails with
+  /// FailedPrecondition.
   [[nodiscard]] util::Status Move(std::span<Tensor* const> tensors,
                                   mem::DeviceKind target)
       ANGEL_EXCLUDES(mutex_);
@@ -65,7 +71,8 @@ class Allocator {
 
   /// Ensures the tensor's bytes form one contiguous range, re-packing onto
   /// physically adjacent frames if necessary (Fig. 4 `merge`). Requires the
-  /// tensor to be resident in a memory tier.
+  /// tensor to be resident in a memory tier, and none of its pages in a
+  /// Move's I/O (FailedPrecondition).
   [[nodiscard]] util::Status Merge(Tensor* tensor) ANGEL_EXCLUDES(mutex_);
 
   /// Number of live tensors.
@@ -75,6 +82,8 @@ class Allocator {
   /// Bytes of page capacity held minus bytes requested: the internal waste
   /// the 4 MiB page choice trades for bandwidth (§4.1).
   uint64_t padding_bytes() const ANGEL_EXCLUDES(mutex_);
+  /// Pages whose Move is in its I/O right now.
+  size_t pages_in_flight() const ANGEL_EXCLUDES(mutex_);
 
   mem::HierarchicalMemory* memory() { return memory_; }
 
@@ -92,6 +101,10 @@ class Allocator {
                                                  uint64_t group)
       ANGEL_REQUIRES(mutex_);
   void ForgetOpenPage(const mem::Page* page) ANGEL_REQUIRES(mutex_);
+  /// FailedPrecondition when one of the tensor's pages is in flight.
+  [[nodiscard]] util::Status CheckNotMovingLocked(const Tensor& tensor,
+                                                  const char* op) const
+      ANGEL_REQUIRES(mutex_);
 
   mem::HierarchicalMemory* memory_;
 
@@ -103,6 +116,10 @@ class Allocator {
   uint64_t page_capacity_bytes_ ANGEL_GUARDED_BY(mutex_) = 0;
   /// Pages with one tensor and remaining space, eligible as a shared tail.
   std::map<OpenPageKey, mem::Page*> open_pages_ ANGEL_GUARDED_BY(mutex_);
+  /// Pages of the Move calls whose MovePages is running: their frames are
+  /// mid-I/O, so no Release or Merge may free them and no second Move may
+  /// take them.
+  std::unordered_set<const mem::Page*> moving_pages_ ANGEL_GUARDED_BY(mutex_);
 };
 
 }  // namespace angelptm::core

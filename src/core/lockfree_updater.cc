@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <unordered_map>
 
 #include "obs/trace.h"
 #include "train/simd/half_codec.h"
@@ -25,6 +26,11 @@ LockFreeUpdater::LockFreeUpdater(Allocator* allocator, const Options& options)
       registry.GetCounter("updater/grad_batches_offloaded");
   metric_pending_batches_ = registry.GetGauge("updater/pending_batches");
   metric_staleness_ = registry.GetHistogram("updater/staleness");
+  metric_read_ahead_hits_ = registry.GetCounter("updater/read_ahead_hits");
+  metric_read_ahead_waits_ = registry.GetCounter("updater/read_ahead_waits");
+  if (options_.master_device == mem::DeviceKind::kSsd) {
+    master_io_ = std::make_unique<util::ThreadPool>(1);
+  }
 
   auto optimizer = Optimizer::Create(options_.optimizer);
   if (optimizer.ok()) {
@@ -37,7 +43,7 @@ LockFreeUpdater::LockFreeUpdater(Allocator* allocator, const Options& options)
 }
 
 LockFreeUpdater::~LockFreeUpdater() {
-  Stop();
+  Stop();  // Settles every master transfer too.
   for (auto& layer : layers_) {
     for (Tensor* tensor : {layer->p32, layer->buffered_params,
                            layer->buffered_grads}) {
@@ -116,11 +122,153 @@ util::Result<int> LockFreeUpdater::AddLayer(
   return static_cast<int>(layers_.size()) - 1;
 }
 
-util::Status LockFreeUpdater::MoveMasters(Layer& layer,
-                                          mem::DeviceKind device) {
+std::vector<Tensor*> LockFreeUpdater::Masters(const Layer& layer) {
   std::vector<Tensor*> masters = {layer.p32};
   masters.insert(masters.end(), layer.slots.begin(), layer.slots.end());
-  return allocator_->Move(masters, device);
+  return masters;
+}
+
+util::Status LockFreeUpdater::MoveMasters(Layer& layer,
+                                          mem::DeviceKind device) {
+  return allocator_->Move(Masters(layer), device);
+}
+
+bool LockFreeUpdater::MastersOnSsd(const Layer& layer) {
+  for (const Tensor* tensor : Masters(layer)) {
+    for (const mem::Page* page : tensor->pages()) {
+      if (page->device() == mem::DeviceKind::kSsd) return true;
+    }
+  }
+  return false;
+}
+
+void LockFreeUpdater::IssueMasterIo(Layer& layer, mem::DeviceKind device) {
+  const bool is_read = device != mem::DeviceKind::kSsd;
+  auto done = std::make_shared<std::promise<util::Status>>();
+  layer.master_io = done->get_future();
+  layer.master_io_is_read = is_read;
+  Layer* target = &layer;
+  const bool submitted = master_io_->Submit([this, target, device, is_read,
+                                             done] {
+    // Once poisoned, queued transfers are dropped: their masters stay
+    // intact where they are.
+    if (poisoned_.load(std::memory_order_acquire)) {
+      done->set_value(status());
+      return;
+    }
+    util::Status moved;
+    {
+      ANGEL_SPAN("updater", is_read ? "master_read" : "master_write");
+      moved = MoveMasters(*target, device);
+    }
+    // Poison before resolving, so a write-behind nobody settles still
+    // stops the updater and surfaces at the next barrier.
+    if (!moved.ok()) Poison(moved);
+    done->set_value(moved);
+  });
+  if (!submitted) {
+    done->set_value(
+        util::Status::FailedPrecondition("master I/O thread shut down"));
+  }
+}
+
+util::Status LockFreeUpdater::SettleMasterIo(Layer& layer) {
+  if (!layer.master_io.valid()) return util::Status::OK();
+  return layer.master_io.get();  // get() leaves the future empty.
+}
+
+void LockFreeUpdater::SettleAllMasterIo() {
+  for (auto& layer : layers_) {
+    util::MutexLock master_lock(layer->master_mutex);
+    // A failed transfer has poisoned the updater already.
+    (void)SettleMasterIo(*layer);
+  }
+}
+
+void LockFreeUpdater::ReadAhead(int layer_index) {
+  Layer& layer = *layers_[size_t(layer_index)];
+  util::MutexLock master_lock(layer.master_mutex);
+  if (layer.master_io.valid() && layer.master_io_is_read) return;
+  // A write-behind still pending is settled first: one transfer per layer.
+  // In a sweep of more than two layers it was issued a full sweep ago.
+  if (!SettleMasterIo(layer).ok()) return;
+  if (MastersOnSsd(layer)) IssueMasterIo(layer, mem::DeviceKind::kCpu);
+}
+
+util::Status LockFreeUpdater::FetchMasters(Layer& layer) {
+  if (layer.master_io.valid() && layer.master_io_is_read &&
+      layer.master_io.wait_for(std::chrono::seconds(0)) !=
+          std::future_status::ready) {
+    read_ahead_waits_.fetch_add(1);
+    metric_read_ahead_waits_->Increment();
+  }
+  ANGEL_RETURN_IF_ERROR(SettleMasterIo(layer));
+  if (MastersOnSsd(layer)) {
+    // A miss: the first update, or a write-behind still pending.
+    return MoveMasters(layer, mem::DeviceKind::kCpu);
+  }
+  // Read ahead: settled just now, or earlier by a snapshot or master read.
+  read_ahead_hits_.fetch_add(1);
+  metric_read_ahead_hits_->Increment();
+  return util::Status::OK();
+}
+
+util::Status LockFreeUpdater::ReadMastersInPlace(
+    const Layer& layer, std::vector<float>* params,
+    std::vector<std::vector<float>>* slots) {
+  const std::vector<Tensor*> masters =
+      slots != nullptr ? Masters(layer) : std::vector<Tensor*>{layer.p32};
+  // Stage every distinct SSD page (grouped tensors share tail pages) in
+  // ascending file order, so the queue coalesces adjacent frames.
+  std::vector<const mem::Page*> on_ssd;
+  for (const Tensor* tensor : masters) {
+    for (const mem::Page* page : tensor->pages()) {
+      if (page->device() == mem::DeviceKind::kSsd &&
+          std::find(on_ssd.begin(), on_ssd.end(), page) == on_ssd.end()) {
+        on_ssd.push_back(page);
+      }
+    }
+  }
+  std::sort(on_ssd.begin(), on_ssd.end(),
+            [](const mem::Page* a, const mem::Page* b) {
+              return a->ssd_offset() < b->ssd_offset();
+            });
+  std::unordered_map<const mem::Page*, const std::byte*> staged;
+  std::vector<std::byte> staging;
+  if (!on_ssd.empty()) {
+    mem::SsdTier* ssd = allocator_->memory()->ssd();
+    const size_t page_bytes = allocator_->memory()->page_bytes();
+    staging.resize(on_ssd.size() * page_bytes);
+    std::vector<std::future<util::Status>> reads;
+    reads.reserve(on_ssd.size());
+    for (size_t i = 0; i < on_ssd.size(); ++i) {
+      reads.push_back(ssd->ReadFrameAsync(on_ssd[i]->ssd_offset(),
+                                          staging.data() + i * page_bytes,
+                                          on_ssd[i]->total_bytes()));
+      staged.emplace(on_ssd[i], staging.data() + i * page_bytes);
+    }
+    // Settle every read before returning: each one points into `staging`.
+    util::Status first_error;
+    for (auto& read : reads) {
+      const util::Status status = read.get();
+      if (first_error.ok()) first_error = status;
+    }
+    ANGEL_RETURN_IF_ERROR(first_error);
+  }
+  const Tensor::PageBytes bytes_of =
+      [&staged](const mem::Page& page) -> const std::byte* {
+    if (page.device() != mem::DeviceKind::kSsd) return page.data_ptr();
+    const auto it = staged.find(&page);
+    return it == staged.end() ? nullptr : it->second;
+  };
+  ANGEL_RETURN_IF_ERROR(layer.p32->ReadFloats(bytes_of, params));
+  if (slots != nullptr) {
+    slots->resize(layer.slots.size());
+    for (size_t s = 0; s < layer.slots.size(); ++s) {
+      ANGEL_RETURN_IF_ERROR(layer.slots[s]->ReadFloats(bytes_of, &(*slots)[s]));
+    }
+  }
+  return util::Status::OK();
 }
 
 util::Status LockFreeUpdater::InstallParams(
@@ -243,14 +391,17 @@ void LockFreeUpdater::Start() {
 }
 
 void LockFreeUpdater::Stop() {
-  if (!running_.exchange(false)) return;
-  WakeQueueWaiters();
-  backpressure_cv_.NotifyAll();
-  SignalWork();
-  // The updating thread may still be queueing an install; the buffering
-  // thread drains the queue before it exits, so join them in that order.
-  if (updating_thread_.joinable()) updating_thread_.join();
-  if (buffering_thread_.joinable()) buffering_thread_.join();
+  if (running_.exchange(false)) {
+    WakeQueueWaiters();
+    backpressure_cv_.NotifyAll();
+    SignalWork();
+    // The updating thread may still be queueing an install; the buffering
+    // thread drains the queue before it exits, so join them in that order.
+    if (updating_thread_.joinable()) updating_thread_.join();
+    if (buffering_thread_.joinable()) buffering_thread_.join();
+  }
+  // Transfers outlive the update that issued them, inline ones included.
+  SettleAllMasterIo();
 }
 
 void LockFreeUpdater::WakeQueueWaiters() {
@@ -285,6 +436,12 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
   // and the idle probes (returned above) would outnumber real updates.
   ANGEL_SPAN("updater", "update_layer");
   {
+    // Taken: no later batch can fold into this update (AwaitStepStart).
+    util::MutexLock lock(queue_mutex_);
+    grad_batches_taken_ += batches_taken;
+    drain_cv_.NotifyAll();
+  }
+  {
     // Release the staleness valve: these batches are no longer in flight.
     // Saturating, because batches offloaded in synchronous mode (no valve
     // accounting) may be taken here after a Stop().
@@ -301,13 +458,17 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
 
   // Fetch fp32 states from the master device (Algorithm 2 line 4; a real
   // SSD read when the master tier is the SSD). The master mutex quiesces
-  // this one layer against concurrent checkpoint snapshots.
+  // this one layer against concurrent checkpoint snapshots. With SSD
+  // masters the next layer of the sweep (cyclic, so layer 0 is followed by
+  // the last one, ready for the next step) is read ahead first, under its
+  // own master mutex alone: never two at once.
   const bool on_ssd = options_.master_device == mem::DeviceKind::kSsd;
+  if (on_ssd) {
+    ReadAhead(layer_index > 0 ? layer_index - 1 : num_layers() - 1);
+  }
   {
     util::MutexLock master_lock(layer->master_mutex);
-    if (on_ssd) {
-      ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, mem::DeviceKind::kCpu));
-    }
+    if (on_ssd) ANGEL_RETURN_IF_ERROR(FetchMasters(*layer));
     std::vector<float> p;
     ANGEL_RETURN_IF_ERROR(layer->p32->ReadFloats(&p));
     std::vector<std::vector<float>> slot_values(layer->slots.size());
@@ -328,7 +489,7 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
     }
 
     // Hand the fresh parameters to the buffering side (line 6), overlapping
-    // with the SSD write-back (line 7).
+    // with the SSD write-back (line 7), which is issued behind it.
     if (running_.load()) {
       util::MutexLock lock(queue_mutex_);
       buffer_queue_.push_back(BufferTask{layer_index, true, p});
@@ -339,9 +500,7 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
       ANGEL_RETURN_IF_ERROR(InstallParams(*layer, p));
     }
 
-    if (on_ssd) {
-      ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, mem::DeviceKind::kSsd));
-    }
+    if (on_ssd) IssueMasterIo(*layer, mem::DeviceKind::kSsd);
   }
   updates_applied_.fetch_add(1);
   {
@@ -536,8 +695,11 @@ util::Status LockFreeUpdater::AwaitStepStart(
     if (poisoned_.load(std::memory_order_acquire)) return status();
     if (!running_.load()) return util::Status::OK();
     // Applied *and* published, as in DrainUpdates: the layers outside the
-    // bound must start the step with their fresh parameters visible.
+    // bound must start the step with their fresh parameters visible. And
+    // taken: a batch still waiting for its update would fold with the
+    // same layer's batch of the new step.
     if (pending_grad_batches() <= kStepStartPendingBatches &&
+        grad_batches_taken_ == grad_batches_offloaded_.load() &&
         installs_published_ == installs_queued_) {
       return util::Status::OK();
     }
@@ -580,21 +742,14 @@ void LockFreeUpdater::Poison(const util::Status& status) {
 
 util::Status LockFreeUpdater::ReadMasterParams(int layer_index,
                                                std::vector<float>* out) {
+  if (poisoned_.load(std::memory_order_acquire)) return status();
   if (layer_index < 0 || layer_index >= num_layers()) {
     return util::Status::InvalidArgument("bad layer index");
   }
   Layer& layer = *layers_[layer_index];
   util::MutexLock master_lock(layer.master_mutex);
-  const bool on_ssd = layer.p32->device_index() ==
-                      static_cast<int>(mem::DeviceKind::kSsd);
-  if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kCpu));
-  }
-  ANGEL_RETURN_IF_ERROR(layer.p32->ReadFloats(out));
-  if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kSsd));
-  }
-  return util::Status::OK();
+  ANGEL_RETURN_IF_ERROR(SettleMasterIo(layer));
+  return ReadMastersInPlace(layer, out, nullptr);
 }
 
 util::Status LockFreeUpdater::SnapshotLayerState(int layer_index,
@@ -609,19 +764,19 @@ util::Status LockFreeUpdater::SnapshotLayerState(int layer_index,
   // consistent cut. Everything else (other layers, the compute side, the
   // buffering thread) keeps running.
   util::MutexLock master_lock(layer.master_mutex);
-  const bool on_ssd = layer.p32->device_index() ==
-                      static_cast<int>(mem::DeviceKind::kSsd);
-  if (on_ssd) ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kCpu));
-  ANGEL_RETURN_IF_ERROR(layer.p32->ReadFloats(&out->params));
+  // A failed transfer left every unmoved page intact on its source, so the
+  // in-place read below is exact either way; the poison reports it.
+  (void)SettleMasterIo(layer);
+  std::vector<std::vector<float>> slot_values;
+  ANGEL_RETURN_IF_ERROR(
+      ReadMastersInPlace(layer, &out->params, &slot_values));
   out->slots.clear();
   out->slots.resize(layer.slots.size());
   for (size_t s = 0; s < layer.slots.size(); ++s) {
     out->slots[s].name = layer.slot_layout[s].name;
-    ANGEL_RETURN_IF_ERROR(
-        layer.slots[s]->ReadFloats(&out->slots[s].values));
+    out->slots[s].values = std::move(slot_values[s]);
   }
   out->step = layer.step;
-  if (on_ssd) ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kSsd));
   return util::Status::OK();
 }
 
@@ -656,8 +811,8 @@ util::Status LockFreeUpdater::ImportLayerState(int layer_index,
     }
   }
   util::MutexLock master_lock(layer.master_mutex);
-  const bool on_ssd = layer.p32->device_index() ==
-                      static_cast<int>(mem::DeviceKind::kSsd);
+  ANGEL_RETURN_IF_ERROR(SettleMasterIo(layer));
+  const bool on_ssd = MastersOnSsd(layer);
   if (on_ssd) ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kCpu));
   ANGEL_RETURN_IF_ERROR(layer.p32->WriteFloats(state.params));
   for (size_t s = 0; s < layer.slots.size(); ++s) {
@@ -666,11 +821,27 @@ util::Status LockFreeUpdater::ImportLayerState(int layer_index,
   layer.step = state.step;
   if (on_ssd) ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kSsd));
   // Refresh the compute-side fp16 view and drop stale gradients.
-  util::MutexLock lock(layer.buffer_mutex);
-  ANGEL_RETURN_IF_ERROR(InstallParams(layer, state.params));
-  const std::vector<float> zeros(layer.count, 0.0f);
-  ANGEL_RETURN_IF_ERROR(layer.buffered_grads->WriteFloats(zeros));
-  layer.pending_batches = 0;
+  uint64_t dropped = 0;
+  {
+    util::MutexLock lock(layer.buffer_mutex);
+    ANGEL_RETURN_IF_ERROR(InstallParams(layer, state.params));
+    const std::vector<float> zeros(layer.count, 0.0f);
+    ANGEL_RETURN_IF_ERROR(layer.buffered_grads->WriteFloats(zeros));
+    dropped = layer.pending_batches;
+    layer.pending_batches = 0;
+  }
+  // A dropped batch is settled as far as the barriers and the valve are
+  // concerned; left counted, DrainUpdates and AwaitStepStart would wait
+  // for it until their deadline.
+  {
+    util::MutexLock lock(backpressure_mutex_);
+    uint64_t& inflight = inflight_batches_[size_t(layer_index)];
+    inflight -= std::min(inflight, dropped);
+  }
+  util::MutexLock lock(queue_mutex_);
+  grad_batches_taken_ += dropped;
+  grad_batches_applied_.fetch_add(dropped);
+  drain_cv_.NotifyAll();
   return util::Status::OK();
 }
 
@@ -681,6 +852,8 @@ LockFreeUpdater::Stats LockFreeUpdater::Snapshot() const {
   stats.grad_batches_applied = grad_batches_applied_.load();
   stats.pending_grad_batches = pending_grad_batches();
   stats.backpressure_waits = backpressure_waits_.load();
+  stats.read_ahead_hits = read_ahead_hits_.load();
+  stats.read_ahead_waits = read_ahead_waits_.load();
   {
     util::MutexLock lock(staleness_mutex_);
     stats.staleness = staleness_;

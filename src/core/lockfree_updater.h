@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "util/seqlock.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+#include "util/thread_pool.h"
 
 namespace angelptm::core {
 
@@ -66,9 +68,11 @@ namespace angelptm::core {
 /// made convergence a function of timing (the same run flipping a layer
 /// between stale and fresh from one run to the next). AwaitStepStart, which
 /// core::Engine::BeginStep calls in lock-free mode, therefore waits while
-/// more than kStepStartPendingBatches batches are still unapplied: every
-/// other layer starts the step with fresh parameters, and only the first
-/// few layers of the forward pass can read stale ones.
+/// more than kStepStartPendingBatches batches are still unapplied or any
+/// offloaded batch is not yet taken into an update: every other layer
+/// starts the step with fresh parameters, only the first layer of the
+/// forward pass can read stale ones, and no batch of the new step can fold
+/// into an update of the last one.
 ///
 /// The condvar wakeup pairs with a small coalescing window
 /// (Options.updater_coalesce_us): waking on the *first* gradient of a
@@ -100,11 +104,20 @@ namespace angelptm::core {
 /// the serial UpdateOnce pass would have produced: one batch per layer per
 /// step, the same Optimizer::Update call, bitwise-identical results.
 ///
-/// Failure semantics: the first unrecoverable error on either background
+/// With masters on the SSD tier, their traffic is pipelined (DESIGN.md
+/// §12.7): a one-thread master-I/O pool reads the next layer of the sweep
+/// in while this one updates (read-ahead) and writes an updated layer out
+/// while the sweep moves on (write-behind). A layer has at most one such
+/// transfer in flight, recorded under its master mutex; every holder of that
+/// mutex settles it before touching the masters. The barriers above wait
+/// for installs, not for write-behinds.
+///
+/// Failure semantics: the first unrecoverable error on any background
 /// thread (an SSD I/O failure that survives the SsdTier retry policy, a
 /// buffer install/accumulate failure) *poisons* the updater — the thread
 /// stops, status() turns non-OK, and every subsequent OffloadGrads /
-/// FetchParams / DrainUpdates call fails fast with that status instead of
+/// FetchParams / DrainUpdates / ReadMasterParams call fails fast with that
+/// status instead of
 /// silently training against a dead optimizer. Poisoning is terminal: the
 /// recovery path is checkpoint restore into a fresh updater (§3.1).
 class LockFreeUpdater {
@@ -130,10 +143,15 @@ class LockFreeUpdater {
 
   /// Step-start bound (see the class comment): AwaitStepStart waits while
   /// more than this many offloaded gradient batches are unapplied. With one
-  /// batch per layer per step these are the layers the forward pass reads
-  /// first; 2 keeps the updating thread busy into the next forward pass
-  /// while at most those two layers can read one-step-stale parameters.
-  static constexpr uint64_t kStepStartPendingBatches = 2;
+  /// batch per layer per step this is the layer the forward pass reads
+  /// first: it alone can read one-step-stale parameters, and the updating
+  /// thread stays busy with it into the next forward pass. 1, not 2: once
+  /// the compute side no longer waits behind master I/O (DESIGN.md §12.7),
+  /// a second pending layer is still unstarted when its next gradient
+  /// arrives, so it folds two batches into one update every step
+  /// (bench/table6_ssd_lockfree: 801 updates for 1200 batches, valid loss
+  /// 1.27x sync).
+  static constexpr uint64_t kStepStartPendingBatches = 1;
 
   LockFreeUpdater(Allocator* allocator, const Options& options);
   ~LockFreeUpdater();
@@ -182,8 +200,8 @@ class LockFreeUpdater {
   /// Spawns the buffering and updating threads.
   void Start();
   /// Joins the threads, the updating thread first so every install it
-  /// queued is published before the buffering thread exits. Pending
-  /// gradients stay buffered.
+  /// queued is published before the buffering thread exits, then settles
+  /// every layer's master transfer. Pending gradients stay buffered.
   void Stop() ANGEL_EXCLUDES(queue_mutex_, work_mutex_);
   bool running() const { return running_.load(); }
 
@@ -206,8 +224,9 @@ class LockFreeUpdater {
       ANGEL_EXCLUDES(queue_mutex_);
 
   /// The step-start bound (see the class comment): blocks until at most
-  /// kStepStartPendingBatches offloaded gradient batches are unapplied and
-  /// every applied update is visible to FetchParams. Returns at once when
+  /// kStepStartPendingBatches offloaded gradient batches are unapplied,
+  /// every offloaded batch is taken into an update, and every applied
+  /// update is visible to FetchParams. Returns at once when
   /// the threads are not running (nothing is in flight then); fails with
   /// the poison status or, past the deadline, DeadlineExceeded.
   [[nodiscard]] util::Status AwaitStepStart(
@@ -220,8 +239,8 @@ class LockFreeUpdater {
   /// of the poisoned_ flag publishes it, and never modified again.
   [[nodiscard]] util::Status status() const;
 
-  /// Reads the fp32 master parameters of a layer (test/checkpoint access;
-  /// moves them memory-side if they are on SSD and back).
+  /// Reads the fp32 master parameters of a layer (validation/test access).
+  /// Masters on SSD are read in place, leaving their residence as found.
   [[nodiscard]] util::Status ReadMasterParams(int layer,
                                               std::vector<float>* out);
 
@@ -247,6 +266,8 @@ class LockFreeUpdater {
   /// ExportLayerState was retired in its favor).
   [[nodiscard]] util::Status SnapshotLayerState(int layer, LayerState* out);
   /// Restores a layer's fp32 master state and refreshes its fp16 buffers.
+  /// Gradient batches still pending on the layer are dropped and count as
+  /// settled for DrainUpdates and AwaitStepStart.
   [[nodiscard]] util::Status ImportLayerState(int layer,
                                               const LayerState& state);
 
@@ -267,6 +288,11 @@ class LockFreeUpdater {
     /// Distribution of gradient batches folded per update (1 = fully
     /// fresh; larger = the compute side ran ahead).
     util::Histogram staleness;
+    /// SSD masters only: updates that found their masters read ahead (on
+    /// the CPU tier, or still being read), and how many of those had to
+    /// wait for the read to finish. The rest read synchronously.
+    uint64_t read_ahead_hits = 0;
+    uint64_t read_ahead_waits = 0;
   };
 
   /// Point-in-time copy of this instance's statistics.
@@ -301,6 +327,12 @@ class LockFreeUpdater {
     mutable util::Mutex master_mutex{"updater.master",
                                      util::lockrank::kUpdaterMaster};
     long step ANGEL_GUARDED_BY(master_mutex) = 0;
+    /// The layer's one master transfer in flight on the master-I/O thread,
+    /// if any: a read-ahead to the CPU tier or a write-behind to the SSD.
+    /// Resolves to the move's status; a failed move has poisoned the
+    /// updater by then and left each unmoved page intact on its source.
+    std::future<util::Status> master_io ANGEL_GUARDED_BY(master_mutex);
+    bool master_io_is_read ANGEL_GUARDED_BY(master_mutex) = false;
   };
 
   /// Applies one optimizer update to layer `layer_index` if it has pending
@@ -309,8 +341,41 @@ class LockFreeUpdater {
       ANGEL_EXCLUDES(queue_mutex_, staleness_mutex_, backpressure_mutex_);
   /// Moves a layer's fp32 master params and every optimizer slot to
   /// `device` as one Allocator::Move, so an SSD crossing is one coalesced
-  /// batch. Callers hold layer.master_mutex once the layer is published.
+  /// batch. Once the layer is published, callers hold layer.master_mutex
+  /// with no transfer pending, or run as that transfer.
   [[nodiscard]] util::Status MoveMasters(Layer& layer, mem::DeviceKind device);
+  /// The layer's master tensors: p32, then the slots.
+  static std::vector<Tensor*> Masters(const Layer& layer);
+  /// True while any master page of the layer is on the SSD tier. Caller
+  /// holds the master mutex with no transfer pending.
+  static bool MastersOnSsd(const Layer& layer)
+      ANGEL_REQUIRES(layer.master_mutex);
+  /// Starts moving the layer's masters to `device` on the master-I/O
+  /// thread and records the transfer. None may be pending.
+  void IssueMasterIo(Layer& layer, mem::DeviceKind device)
+      ANGEL_REQUIRES(layer.master_mutex);
+  /// Waits for the layer's pending transfer, if any, and returns its
+  /// status (OK when none was pending).
+  [[nodiscard]] static util::Status SettleMasterIo(Layer& layer)
+      ANGEL_REQUIRES(layer.master_mutex);
+  /// Settles every layer's transfer (Stop and the destructor).
+  void SettleAllMasterIo();
+  /// Read-ahead: starts reading the layer's masters to the CPU tier unless
+  /// they are there or on their way. Takes and drops its master mutex, so
+  /// it must be called with no other master mutex held.
+  void ReadAhead(int layer_index);
+  /// Brings the masters of the layer being updated to the CPU tier: a
+  /// read-ahead hit, or a synchronous read on a miss.
+  [[nodiscard]] util::Status FetchMasters(Layer& layer)
+      ANGEL_REQUIRES(layer.master_mutex);
+  /// Reads the masters' values where they reside, leaving residence as
+  /// found: SSD pages are read into a staging buffer through
+  /// SsdTier::ReadFrameAsync. `slots` may be null. Caller holds the master
+  /// mutex with no transfer pending.
+  [[nodiscard]] util::Status ReadMastersInPlace(
+      const Layer& layer, std::vector<float>* params,
+      std::vector<std::vector<float>>* slots)
+      ANGEL_REQUIRES(layer.master_mutex);
   void UpdatingThreadLoop() ANGEL_EXCLUDES(work_mutex_);
   void BufferingThreadLoop() ANGEL_EXCLUDES(queue_mutex_, work_mutex_);
   /// Records the first unrecoverable error; later calls keep the original.
@@ -337,6 +402,10 @@ class LockFreeUpdater {
   Options options_;
   std::unique_ptr<Optimizer> optimizer_;
   std::vector<std::unique_ptr<Layer>> layers_;
+  /// The master-I/O thread (SSD masters only; null otherwise). One thread
+  /// in FIFO order keeps the CPU tier at about three layers of masters:
+  /// the one updating, the one read ahead and the one being written.
+  std::unique_ptr<util::ThreadPool> master_io_;
 
   std::atomic<bool> running_{false};
   std::thread updating_thread_;
@@ -361,6 +430,9 @@ class LockFreeUpdater {
   /// Stop and Poison.
   uint64_t installs_queued_ ANGEL_GUARDED_BY(queue_mutex_) = 0;
   uint64_t installs_published_ ANGEL_GUARDED_BY(queue_mutex_) = 0;
+  /// Gradient batches UpdateLayer has taken (snapshot-and-cleared) into an
+  /// update, for AwaitStepStart; each take signals drain_cv_.
+  uint64_t grad_batches_taken_ ANGEL_GUARDED_BY(queue_mutex_) = 0;
   util::CondVar drain_cv_;
 
   /// Wakeup channel for the updating thread (replaces the old idle-sleep
@@ -385,6 +457,8 @@ class LockFreeUpdater {
   std::atomic<uint64_t> updates_applied_{0};
   std::atomic<uint64_t> grad_batches_offloaded_{0};
   std::atomic<uint64_t> grad_batches_applied_{0};
+  std::atomic<uint64_t> read_ahead_hits_{0};
+  std::atomic<uint64_t> read_ahead_waits_{0};
 
   /// Terminal error state. `poisoned_` is the lock-free fast-path flag;
   /// poison_status_ is written exactly once, under poison_mutex_ (which
@@ -405,6 +479,8 @@ class LockFreeUpdater {
   obs::Counter* metric_grad_batches_offloaded_ = nullptr;
   obs::Gauge* metric_pending_batches_ = nullptr;
   obs::Histogram* metric_staleness_ = nullptr;
+  obs::Counter* metric_read_ahead_hits_ = nullptr;
+  obs::Counter* metric_read_ahead_waits_ = nullptr;
 };
 
 }  // namespace angelptm::core

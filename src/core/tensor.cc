@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "train/simd/half_codec.h"
 #include "util/half.h"
@@ -10,10 +11,13 @@
 namespace angelptm::core {
 namespace {
 
-/// Invokes `fn(page_data + slot_offset, span_bytes, tensor_offset)` for each
-/// of the tensor's page spans in byte order. Returns early on error.
-template <typename Fn>
-util::Status ForEachSpan(const Tensor& tensor, Fn&& fn) {
+/// Invokes `fn(frame + slot_offset, span_bytes, tensor_offset)` for each of
+/// the tensor's page spans in byte order, where `frame` is
+/// `frame_of(page)`: the bytes of the page as laid out in its frame, or
+/// null when they cannot be addressed. Returns early on error.
+template <typename FrameOf, typename Fn>
+util::Status ForEachSpanIn(const Tensor& tensor, FrameOf&& frame_of,
+                           Fn&& fn) {
   size_t tensor_offset = 0;
   for (mem::Page* page : tensor.pages()) {
     const mem::Page::Slot* slot = page->FindSlot(tensor.id());
@@ -22,15 +26,26 @@ util::Status ForEachSpan(const Tensor& tensor, Fn&& fn) {
                                     " missing slot on page " +
                                     std::to_string(page->id()));
     }
-    if (page->device() == mem::DeviceKind::kSsd) {
+    auto* frame = frame_of(*page);
+    if (frame == nullptr) {
       return util::Status::FailedPrecondition(
           "tensor " + std::to_string(tensor.id()) + " has page on SSD");
     }
-    ANGEL_RETURN_IF_ERROR(
-        fn(page->data_ptr() + slot->offset, slot->bytes, tensor_offset));
+    ANGEL_RETURN_IF_ERROR(fn(frame + slot->offset, slot->bytes, tensor_offset));
     tensor_offset += slot->bytes;
   }
   return util::Status::OK();
+}
+
+/// The page's own frame, or null while it is on SSD.
+std::byte* ResidentFrame(const mem::Page& page) {
+  return page.device() == mem::DeviceKind::kSsd ? nullptr : page.data_ptr();
+}
+
+/// ForEachSpanIn over the pages' own frames.
+template <typename Fn>
+util::Status ForEachSpan(const Tensor& tensor, Fn&& fn) {
+  return ForEachSpanIn(tensor, ResidentFrame, std::forward<Fn>(fn));
 }
 
 /// A 16-bit tensor's page spans hold whole, aligned elements: slot sizes
@@ -116,17 +131,25 @@ util::Status Tensor::CopyIn(const std::byte* src, size_t bytes) {
 }
 
 util::Status Tensor::ReadFloats(std::vector<float>* out) const {
+  return ReadFloats(ResidentFrame, out);
+}
+
+util::Status Tensor::ReadFloats(const PageBytes& bytes_of,
+                                std::vector<float>* out) const {
   const size_t n = NumElements();
   out->resize(n);
-  if (dtype_ == DType::kFp32) {
-    return CopyOut(reinterpret_cast<std::byte*>(out->data()), SizeBytes());
-  }
-  // 16-bit dtypes decode straight out of each page span: fp16 through the
-  // bulk codec, bf16 element by element.
   float* dst = out->data();
   const DType dtype = dtype_;
-  return ForEachSpan(*this, [dst, dtype](const std::byte* src,
-                                         size_t span_bytes, size_t offset) {
+  return ForEachSpanIn(*this, bytes_of, [dst, dtype](const std::byte* src,
+                                                     size_t span_bytes,
+                                                     size_t offset) {
+    if (dtype == DType::kFp32) {
+      std::memcpy(reinterpret_cast<std::byte*>(dst) + offset, src,
+                  span_bytes);
+      return util::Status::OK();
+    }
+    // 16-bit dtypes decode straight out of each page span: fp16 through the
+    // bulk codec, bf16 element by element.
     ANGEL_RETURN_IF_ERROR(CheckHalfSpan(src, span_bytes, offset));
     const uint16_t* bits = reinterpret_cast<const uint16_t*>(src);
     const size_t count = span_bytes / sizeof(uint16_t);

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/dtype.h"
@@ -64,6 +65,15 @@ class Tensor {
   /// Typed convenience accessors over CopyOut/CopyIn.
   [[nodiscard]] util::Status ReadFloats(std::vector<float>* out) const;
   [[nodiscard]] util::Status WriteFloats(const std::vector<float>& values);
+
+  /// The bytes of a page as laid out in its frame, or null when they cannot
+  /// be read.
+  using PageBytes = std::function<const std::byte*(const mem::Page&)>;
+  /// ReadFloats over `bytes_of(page)` instead of the pages' frames, so a
+  /// tensor on SSD is read from staged copies of its frames without moving
+  /// (LockFreeUpdater::ReadMasterParams). A null page is FailedPrecondition.
+  [[nodiscard]] util::Status ReadFloats(const PageBytes& bytes_of,
+                                        std::vector<float>* out) const;
 
   // --- Allocator plumbing ---
   std::vector<mem::Page*>* mutable_pages() { return &pages_; }

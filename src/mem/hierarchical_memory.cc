@@ -56,6 +56,7 @@ util::Result<Page*> HierarchicalMemory::CreatePage(DeviceKind initial_device) {
   }
   Page* raw = page.get();
   metric_pages_created_->Increment();
+  tier_pages_[static_cast<int>(initial_device)].fetch_add(1);
   util::MutexLock lock(registry_mutex_);
   pages_.emplace(raw->id(), std::move(page));
   return raw;
@@ -72,6 +73,7 @@ util::Result<std::vector<Page*>> HierarchicalMemory::CreateContiguousPages(
   std::vector<Page*> result;
   result.reserve(count);
   metric_pages_created_->Increment(count);
+  tier_pages_[static_cast<int>(device)].fetch_add(count);
   util::MutexLock lock(registry_mutex_);
   for (size_t i = 0; i < count; ++i) {
     auto page = std::make_unique<Page>(next_page_id_.fetch_add(1),
@@ -96,6 +98,7 @@ util::Status HierarchicalMemory::DestroyPage(Page* page, bool force) {
   } else {
     MutableArena(page->device()).ReleaseFrame(page->data_ptr());
   }
+  tier_pages_[static_cast<int>(page->device())].fetch_sub(1);
   util::MutexLock lock(registry_mutex_);
   const size_t erased = pages_.erase(page->id());
   ANGEL_CHECK(erased == 1) << "destroying unregistered page";
@@ -236,6 +239,8 @@ void HierarchicalMemory::RecordMove(DeviceKind source, DeviceKind target,
                                     size_t bytes) {
   metric_page_moves_->Increment();
   metric_page_move_bytes_->Increment(bytes);
+  tier_pages_[static_cast<int>(source)].fetch_sub(1);
+  tier_pages_[static_cast<int>(target)].fetch_add(1);
   util::MutexLock lock(stats_mutex_);
   auto& cell = move_stats_[static_cast<int>(source)][static_cast<int>(target)];
   cell.moves += 1;
@@ -296,13 +301,13 @@ MemorySnapshot HierarchicalMemory::Snapshot() const {
     TierUsage& tier = snapshot.tiers[static_cast<int>(kind)];
     tier.used_bytes = used_bytes(kind);
     tier.capacity_bytes = capacity_bytes(kind);
+    tier.pages = tier_pages_[static_cast<int>(kind)].load();
   }
   {
     util::MutexLock lock(registry_mutex_);
     snapshot.live_pages = pages_.size();
     for (const auto& [id, page] : pages_) {
       snapshot.fragmented_bytes += page->FragmentedBytes();
-      snapshot.tiers[static_cast<int>(page->device())].pages += 1;
     }
   }
   {

@@ -168,6 +168,7 @@ class HierarchicalMemory {
   [[nodiscard]] util::Status MoveSsdBatch(std::vector<Page*> batch,
                                           DeviceKind target)
       ANGEL_EXCLUDES(stats_mutex_);
+  /// Counts one committed page move (stats and tier_pages_).
   void RecordMove(DeviceKind source, DeviceKind target, size_t bytes)
       ANGEL_EXCLUDES(stats_mutex_);
 
@@ -188,6 +189,9 @@ class HierarchicalMemory {
                                    util::lockrank::kHmemStats};
   std::array<std::array<MoveStats, kNumDeviceKinds>, kNumDeviceKinds>
       move_stats_ ANGEL_GUARDED_BY(stats_mutex_){};
+  /// Live pages per tier, kept at every residence change so Snapshot never
+  /// reads the residence of a page another thread is moving.
+  std::array<std::atomic<size_t>, kNumDeviceKinds> tier_pages_{};
 
   // Process-wide series (obs registry handles; set once in the ctor).
   obs::Counter* metric_pages_created_ = nullptr;

@@ -339,6 +339,25 @@ TEST_F(LockFreeUpdaterTest, StepStartBoundReturnsAtOnceWhenStopped) {
   EXPECT_EQ(updater.Snapshot().pending_grad_batches, uint64_t(layers));
 }
 
+TEST_F(LockFreeUpdaterTest, ImportDropsPendingBatchesFromTheBarriers) {
+  // A checkpoint import drops the layer's pending gradient; the barriers
+  // must not keep waiting for it until their deadline.
+  LockFreeUpdater updater(&allocator_, UpdaterOptions());
+  ASSERT_TRUE(updater.AddLayer(std::vector<float>(16, 1.0f)).ok());
+  LockFreeUpdater::LayerState state;
+  ASSERT_TRUE(updater.SnapshotLayerState(0, &state).ok());
+  ASSERT_TRUE(updater.OffloadGrads(0, std::vector<float>(16, 0.5f)).ok());
+  ASSERT_TRUE(updater.ImportLayerState(0, state).ok());
+  EXPECT_EQ(updater.Snapshot().pending_grad_batches, 0u);
+  EXPECT_TRUE(updater.DrainUpdates(std::chrono::milliseconds(0)).ok());
+  updater.Start();
+  EXPECT_TRUE(updater.AwaitStepStart(std::chrono::milliseconds(0)).ok());
+  updater.Stop();
+  std::vector<float> master;
+  ASSERT_TRUE(updater.ReadMasterParams(0, &master).ok());
+  ExpectSameBits(state.params, master, "masters after import");
+}
+
 /// The synchronous-training contract: an updater driven on its threads and
 /// released by the DrainUpdates barrier after every step must be bitwise
 /// identical to one applying the same gradients inline with UpdateOnce —
@@ -431,6 +450,52 @@ INSTANTIATE_TEST_SUITE_P(
              "_" + std::get<1>(info.param);
     });
 
+/// Pipelined master I/O (DESIGN.md §12.7): on steady synchronous steps every
+/// update after the very first finds its masters read ahead, and each step
+/// moves every layer's masters across the SSD exactly once each way.
+TEST_F(LockFreeUpdaterTest, SteadySsdStepsReadEveryLayerAhead) {
+  LockFreeUpdater updater(&allocator_, UpdaterOptions(mem::DeviceKind::kSsd));
+  // 4096 floats fill one 16 KiB page exactly, so Adam's masters (params,
+  // m, v) are three whole pages per layer.
+  const size_t count = 4096;
+  const uint64_t master_bytes = 3 * MemoryOptions().page_bytes;
+  const int layers = 4;
+  const int steps = 5;
+  for (int l = 0; l < layers; ++l) {
+    ASSERT_TRUE(updater.AddLayer(std::vector<float>(count, 0.5f)).ok());
+  }
+  const mem::SsdTier::Stats before = memory_.ssd()->Snapshot();
+  updater.Start();
+  for (int step = 0; step < steps; ++step) {
+    for (int l = layers - 1; l >= 0; --l) {
+      ASSERT_TRUE(
+          updater.OffloadGrads(l, std::vector<float>(count, 0.01f)).ok());
+    }
+    ASSERT_TRUE(updater.DrainUpdates().ok());
+  }
+  updater.Stop();  // Settles the last write-behind and read-ahead.
+  const mem::SsdTier::Stats after = memory_.ssd()->Snapshot();
+  const LockFreeUpdater::Stats stats = updater.Snapshot();
+  EXPECT_EQ(stats.updates_applied, uint64_t(layers * steps));
+  EXPECT_EQ(stats.read_ahead_hits, stats.updates_applied - 1);
+  EXPECT_LE(stats.read_ahead_waits, stats.read_ahead_hits);
+  // One write per update; one read per update, plus the read-ahead of the
+  // last layer for a step that never came.
+  EXPECT_EQ(after.bytes_written - before.bytes_written,
+            uint64_t(layers * steps) * master_bytes);
+  EXPECT_EQ(after.bytes_read - before.bytes_read,
+            uint64_t(layers * steps + 1) * master_bytes);
+  // Reading the masters leaves them where they are: no SSD write.
+  std::vector<float> values;
+  for (int l = 0; l < layers; ++l) {
+    ASSERT_TRUE(updater.ReadMasterParams(l, &values).ok());
+    LockFreeUpdater::LayerState state;
+    ASSERT_TRUE(updater.SnapshotLayerState(l, &state).ok());
+    EXPECT_EQ(state.step, steps);
+  }
+  EXPECT_EQ(memory_.ssd()->Snapshot().bytes_written, after.bytes_written);
+}
+
 /// Failure semantics: injected faults must poison the updater and surface
 /// through status()/DrainUpdates instead of hanging or silently diverging.
 class LockFreeUpdaterFaultTest : public LockFreeUpdaterTest {
@@ -446,27 +511,80 @@ class LockFreeUpdaterFaultTest : public LockFreeUpdaterTest {
 };
 
 TEST_F(LockFreeUpdaterFaultTest, SsdWriteFailurePoisonsAsyncUpdater) {
-  LockFreeUpdater updater(&allocator_,
-                          UpdaterOptions(mem::DeviceKind::kSsd));
-  // Setup writes (master migration to SSD) happen before the fault is armed.
-  ASSERT_TRUE(updater.AddLayer(std::vector<float>(8, 1.0f)).ok());
+  // A failed master write-behind poisons the updater. The barriers do not
+  // wait for write-behinds, so it surfaces at the next DrainUpdates,
+  // AwaitStepStart or ReadMasterParams, and the masters stay intact on the
+  // CPU tier.
+  const std::vector<size_t> sizes = {3000, 37, 1500};
+  LockFreeUpdater updater(&allocator_, UpdaterOptions(mem::DeviceKind::kSsd));
+  LockFreeUpdater reference(&allocator_, UpdaterOptions());
+  util::Rng rng(3);
+  for (const size_t size : sizes) {
+    std::vector<float> init(size);
+    rng.FillGaussian(&init, 0.5);
+    ASSERT_TRUE(updater.AddLayer(init).ok());
+    ASSERT_TRUE(reference.AddLayer(init).ok());
+  }
   updater.Start();
-  ArmPermanent("ssd.pwrite");  // Every master write-back now fails.
-
-  // The offload itself never blocks; the failure surfaces asynchronously.
-  ASSERT_TRUE(updater.OffloadGrads(0, std::vector<float>(8, 0.5f)).ok());
+  const int last = int(sizes.size()) - 1;
+  for (int step = 0; step < 2; ++step) {
+    if (step == 1) {
+      // The first step's write-behinds land pre-fault: the barrier does
+      // not wait for them, a master read settles them.
+      ASSERT_TRUE(updater.DrainUpdates().ok());
+      std::vector<float> masters;
+      for (int l = 0; l <= last; ++l) {
+        ASSERT_TRUE(updater.ReadMasterParams(l, &masters).ok());
+      }
+      ArmPermanent("ssd.pwrite");
+    }
+    for (int l = last; l >= 0; --l) {
+      std::vector<float> grads(sizes[size_t(l)]);
+      rng.FillGaussian(&grads, 1.0);
+      // The offload never blocks on the write; once the write-behind has
+      // failed, later offloads of the step fail fast instead.
+      const util::Status offloaded = updater.OffloadGrads(l, grads);
+      EXPECT_TRUE(offloaded.ok() || (step == 1 && offloaded.IsIoError()))
+          << offloaded;
+      ASSERT_TRUE(reference.OffloadGrads(l, grads).ok());
+    }
+    ASSERT_TRUE(reference.UpdateOnce().ok());
+  }
   const util::Status drained =
       updater.DrainUpdates(std::chrono::milliseconds(30000));
-  EXPECT_TRUE(drained.IsIoError()) << drained;
-  EXPECT_TRUE(updater.status().IsIoError());
+  EXPECT_TRUE(drained.ok() || drained.IsIoError()) << drained;
+  const auto poll_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (updater.status().ok() &&
+         std::chrono::steady_clock::now() < poll_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(updater.status().IsIoError()) << updater.status();
 
-  // Poisoning is terminal: the compute-side interface fails fast.
-  EXPECT_TRUE(
-      updater.OffloadGrads(0, std::vector<float>(8, 0.5f)).IsIoError());
-  std::vector<float> fetched;
-  EXPECT_TRUE(updater.FetchParams(0, &fetched).IsIoError());
+  // Poisoning is terminal: every entry point fails fast with it.
+  EXPECT_TRUE(updater.DrainUpdates().IsIoError());
+  EXPECT_TRUE(updater.AwaitStepStart().IsIoError());
+  std::vector<float> values;
+  EXPECT_TRUE(updater.ReadMasterParams(0, &values).IsIoError());
+  EXPECT_TRUE(updater.OffloadGrads(0, std::vector<float>(sizes[0], 0.5f))
+                  .IsIoError());
+  EXPECT_TRUE(updater.FetchParams(0, &values).IsIoError());
   EXPECT_TRUE(updater.UpdateOnce().IsIoError());
   updater.Stop();
+
+  // The first write-behind of the faulted step was the last layer's, after
+  // its second update: that update is intact in memory.
+  LockFreeUpdater::LayerState got, want;
+  ASSERT_TRUE(updater.SnapshotLayerState(last, &got).ok());
+  ASSERT_TRUE(reference.SnapshotLayerState(last, &want).ok());
+  EXPECT_EQ(got.step, 2);
+  EXPECT_EQ(got.step, want.step);
+  ExpectSameBits(want.params, got.params, "masters after failed write");
+  ASSERT_EQ(got.slots.size(), want.slots.size());
+  for (size_t s = 0; s < got.slots.size(); ++s) {
+    ExpectSameBits(want.slots[s].values, got.slots[s].values,
+                   "slot " + want.slots[s].name + " after failed write");
+  }
 }
 
 TEST_F(LockFreeUpdaterFaultTest, BufferAccumulateFailurePoisons) {
@@ -531,14 +649,16 @@ TEST_F(LockFreeUpdaterFaultTest, PoisonReleasesValveBlockedOffload) {
 
 TEST_F(LockFreeUpdaterFaultTest, PoisonReleasesStepStartWaiter) {
   // A dead updating thread must not wedge BeginStep either: with every
-  // master write-back failing, the step-start wait ends with the poison.
+  // master read failing, no update is applied, so the step-start wait
+  // blocks until the poison ends it. (A failed write-behind surfaces at
+  // the next wait instead; see SsdWriteFailurePoisonsAsyncUpdater.)
   LockFreeUpdater updater(&allocator_, UpdaterOptions(mem::DeviceKind::kSsd));
   const int layers = int(LockFreeUpdater::kStepStartPendingBatches) + 2;
   for (int l = 0; l < layers; ++l) {
     ASSERT_TRUE(updater.AddLayer(std::vector<float>(8, 1.0f)).ok());
   }
   updater.Start();
-  ArmPermanent("ssd.pwrite");
+  ArmPermanent("ssd.pread");
   for (int l = 0; l < layers; ++l) {
     ASSERT_TRUE(updater.OffloadGrads(l, std::vector<float>(8, 0.5f)).ok());
   }

@@ -1,7 +1,9 @@
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -269,6 +271,65 @@ TEST_F(AllocatorTest, ZeroElementTensorRejected) {
   EXPECT_TRUE(allocator_.Allocate({0, 5}, DType::kFp32, mem::DeviceKind::kCpu)
                   .status()
                   .IsInvalidArgument());
+}
+
+/// Allocator::Move holds alloc.state only while it collects and marks the
+/// pages, not across the I/O: another thread's Allocate/Release completes
+/// while the move is in flight, and the in-flight pages refuse Release,
+/// Merge and a second Move instead of freeing or moving a frame mid-I/O.
+TEST(AllocatorInFlightTest, ComputeSideCallsCompleteDuringSsdMove) {
+  mem::HierarchicalMemoryOptions o;
+  o.page_bytes = kPage;
+  o.gpu_capacity_bytes = 16 * kPage;
+  o.cpu_capacity_bytes = 64 * kPage;
+  o.ssd_capacity_bytes = 64 * kPage;
+  o.ssd_path =
+      "/tmp/angelptm_alloc_inflight_" + std::to_string(::getpid()) + ".bin";
+  // Every SSD syscall takes half a second, so the move stays in its I/O
+  // long enough to observe.
+  o.ssd_io_op_latency_us = 500000;
+  mem::HierarchicalMemory memory(o);
+  Allocator allocator(&memory);
+
+  auto moving = allocator.Allocate({2 * kPage / sizeof(float)}, DType::kFp32,
+                                   mem::DeviceKind::kCpu);
+  ASSERT_TRUE(moving.ok());
+  util::Status moved;
+  std::thread mover(
+      [&] { moved = allocator.Move(*moving, mem::DeviceKind::kSsd); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (allocator.pages_in_flight() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(allocator.pages_in_flight(), 2u);
+
+  // The compute side allocates, writes and releases meanwhile.
+  auto other = allocator.Allocate({100}, DType::kFp32, mem::DeviceKind::kCpu);
+  ASSERT_TRUE(other.ok());
+  EXPECT_TRUE((*other)->WriteFloats(std::vector<float>(100, 1.0f)).ok());
+  EXPECT_TRUE(allocator.Release(*other).ok());
+  // Still in flight: the calls above did not wait behind the I/O.
+  EXPECT_EQ(allocator.pages_in_flight(), 2u);
+
+  const util::Status released = allocator.Release(*moving);
+  EXPECT_EQ(released.code(), util::StatusCode::kFailedPrecondition)
+      << released;
+  const util::Status merged = allocator.Merge(*moving);
+  EXPECT_EQ(merged.code(), util::StatusCode::kFailedPrecondition) << merged;
+  const util::Status moved_twice =
+      allocator.Move(*moving, mem::DeviceKind::kCpu);
+  EXPECT_EQ(moved_twice.code(), util::StatusCode::kFailedPrecondition)
+      << moved_twice;
+
+  mover.join();
+  EXPECT_TRUE(moved.ok()) << moved;
+  EXPECT_EQ(allocator.pages_in_flight(), 0u);
+  EXPECT_EQ((*moving)->device_index(),
+            static_cast<int>(mem::DeviceKind::kSsd));
+  EXPECT_TRUE(allocator.Release(*moving).ok());
+  EXPECT_EQ(allocator.num_tensors(), 0u);
 }
 
 }  // namespace

@@ -252,6 +252,35 @@ TEST_F(EngineTrainerTest, LockFreeMatchesSynchronousLoss) {
   EXPECT_LT(lockfree_loss, sync_loss * 4 + 0.05);
 }
 
+TEST_F(EngineTrainerTest, LockFreeSsdMastersMeetParityBound) {
+  // bench/table6_ssd_lockfree's parity gate at test scale: fp32 masters on
+  // a throttled SSD tier, lock-free valid loss at most 1.25x synchronous,
+  // and no update folding more than the step-start bound's batches.
+  constexpr double kMaxValidLossRatio = 1.25;
+  SyntheticRegression dataset(16, 32, 4, 99);
+  double sync_loss = 0, lockfree_loss = 0;
+  uint64_t lockfree_staleness_max = 0;
+  for (const bool lock_free : {false, true}) {
+    EngineTrainerOptions options =
+        HostStashOptions(lock_free ? "parity_lf" : "parity_sync");
+    options.engine.master_device = mem::DeviceKind::kSsd;
+    options.engine.memory.ssd_bandwidth_bytes_per_sec = 200e6;
+    options.engine.lock_free = lock_free;
+    EngineTrainer trainer(&TestModel(), options);
+    ASSERT_TRUE(trainer.Init().ok());
+    auto report = trainer.Train(dataset, 400);
+    ASSERT_TRUE(report.ok()) << report.status();
+    (lock_free ? lockfree_loss : sync_loss) = report->validation_loss;
+    if (lock_free) {
+      lockfree_staleness_max = report->telemetry.updater.staleness.Max();
+    }
+  }
+  EXPECT_LE(lockfree_loss, kMaxValidLossRatio * sync_loss)
+      << "sync " << sync_loss << ", lock-free " << lockfree_loss;
+  EXPECT_LE(lockfree_staleness_max,
+            core::LockFreeUpdater::kStepStartPendingBatches);
+}
+
 TEST_F(EngineTrainerTest, LockFreeObservesStaleness) {
   EngineTrainerOptions options = HostStashOptions("stale");
   options.engine.lock_free = true;
